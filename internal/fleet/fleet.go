@@ -267,6 +267,9 @@ type Cluster struct {
 	queue    []*Job
 
 	alone map[string]float64
+	// demand holds one placement-input table per admitted application,
+	// shared by all of its jobs.
+	demand map[string]*jobDemand
 
 	period   int
 	lastGbps []float64 // per node, most recent live heartbeat
@@ -356,6 +359,7 @@ func New(cfg Config) (*Cluster, error) {
 		sched:    sched,
 		arrivals: arrivals,
 		alone:    map[string]float64{},
+		demand:   map[string]*jobDemand{},
 		accs:     make([]stepAcc, cfg.Workers),
 	}
 	c.stepFn = c.stepNode
@@ -551,6 +555,29 @@ func (c *Cluster) aloneIPC(name string) (float64, error) {
 	v := r.Proc(0).IPC()
 	c.alone[name] = v
 	return v, nil
+}
+
+// admit builds the queued job for an arrival, bound to its application's
+// demand table and alone-run reference.
+func (c *Cluster) admit(a Arrival) (*Job, error) {
+	d, err := c.demandOf(a.App)
+	if err != nil {
+		return nil, err
+	}
+	alone, err := c.aloneIPC(a.App)
+	if err != nil {
+		return nil, err
+	}
+	return &Job{
+		ID:               a.Job,
+		Profile:          d.prof,
+		AloneIPC:         alone,
+		ArrivalPeriod:    a.Period,
+		PlacedPeriod:     -1,
+		RemainingPeriods: a.DurationPeriods,
+		Core:             -1,
+		demand:           d,
+	}, nil
 }
 
 // Period returns the number of completed periods.
@@ -756,23 +783,11 @@ func (c *Cluster) stepLocked() (*ClusterRecord, error) {
 			c.res.Rejected++
 			continue
 		}
-		prof, err := app.ByName(a.App)
+		j, err := c.admit(a)
 		if err != nil {
 			return nil, err
 		}
-		alone, err := c.aloneIPC(a.App)
-		if err != nil {
-			return nil, err
-		}
-		c.queue = append(c.queue, &Job{
-			ID:               a.Job,
-			Profile:          prof,
-			AloneIPC:         alone,
-			ArrivalPeriod:    a.Period,
-			PlacedPeriod:     -1,
-			RemainingPeriods: a.DurationPeriods,
-			Core:             -1,
-		})
+		c.queue = append(c.queue, j)
 		rec.Admitted++
 		c.res.Admitted++
 	}
@@ -821,9 +836,10 @@ func (c *Cluster) stepLocked() (*ClusterRecord, error) {
 		}
 		j.Attempts++
 		v := &c.views[idx]
-		pred := PredictJobGbps(c.cfg.Machine, j.Profile, v.BEWays, v.BECount)
+		d := j.demandOn(&c.cfg.Machine)
+		pred := d.predict(v.BEWays, v.BECount)
 		beBytes := c.cfg.Machine.WaysBytes(v.BEWays)
-		fp := j.Profile.MaxFootprint()
+		fp := d.footprint
 		if fp > beBytes {
 			fp = beBytes
 		}

@@ -110,7 +110,7 @@ func (c *Cluster) migrateLocked(p int, rec *ClusterRecord) {
 				if j == nil || j.Attempts >= c.cfg.MaxPlaceAttempts {
 					continue
 				}
-				s := PredictJobGbps(c.cfg.Machine, j.Profile, beWays, n.beCount)
+				s := j.demandOn(&c.cfg.Machine).predict(beWays, n.beCount)
 				if bestCore < 0 || s > bestScore {
 					bestCore, bestScore = core, s
 				}

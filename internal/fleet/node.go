@@ -39,6 +39,9 @@ type Job struct {
 	// after node loss); NotBefore gates backoff-delayed retries.
 	Attempts  int
 	NotBefore int
+
+	// demand is the job's placement-input table (see demandOn).
+	demand *jobDemand
 }
 
 // NodeConfig describes one fleet node: a simulated server running one or
@@ -118,8 +121,10 @@ type Node struct {
 	beClos  int
 
 	// jobs indexes running jobs by core (nil = free); cores
-	// hpCount..Cores-1 hold BE jobs.
+	// hpCount..Cores-1 hold BE jobs. jobFP holds each running job's
+	// MaxFootprint, taken from its demand table at placement, for view.
 	jobs    []*Job
+	jobFP   []float64
 	beCount int
 
 	frozenUntil int // exclusive period bound; frozen while period < this
@@ -132,8 +137,10 @@ type Node struct {
 	retired  bool
 
 	// viewFP is view's per-group footprint scratch on multi-HP nodes,
-	// pooled so the placement pass allocates nothing per period.
+	// pooled so the placement pass allocates nothing per period; hpFP
+	// caches each HP's MaxFootprint for it.
 	viewFP []float64
+	hpFP   []float64
 
 	// Flight-recorder tap, written by the controller's chained trace
 	// hook during Observe (inside the node's own stepping slot, so no
@@ -214,6 +221,7 @@ func newSingleHPNode(cfg NodeConfig) (*Node, error) {
 		hpCount: 1,
 		beClos:  policy.BEClos,
 		jobs:    make([]*Job, cfg.Machine.Cores),
+		jobFP:   make([]float64, cfg.Machine.Cores),
 	}, nil
 }
 
@@ -236,7 +244,9 @@ func newMultiHPNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	specs := make([]cluster.AppSpec, len(cfg.HPs))
+	hpFP := make([]float64, len(cfg.HPs))
 	for i, hp := range cfg.HPs {
+		hpFP[i] = hp.MaxFootprint()
 		if err := r.Attach(i, 0, hp); err != nil {
 			return nil, err
 		}
@@ -268,7 +278,9 @@ func newMultiHPNode(cfg NodeConfig) (*Node, error) {
 		multi:   mc,
 		beClos:  mc.BEClos(),
 		jobs:    make([]*Job, cfg.Machine.Cores),
+		jobFP:   make([]float64, cfg.Machine.Cores),
 		viewFP:  make([]float64, len(cfg.HPs)),
+		hpFP:    hpFP,
 	}, nil
 }
 
@@ -335,6 +347,7 @@ func (n *Node) Place(j *Job, period int) error {
 				return err
 			}
 			n.jobs[c] = j
+			n.jobFP[c] = j.demandOn(&n.cfg.Machine).footprint
 			n.beCount++
 			j.Core = c
 			if j.PlacedPeriod < 0 {
@@ -486,7 +499,7 @@ func (n *Node) takeFlight(e *FlightEntry) {
 // into it in place, so the snapshot must only depend on node state and
 // the last heartbeat.
 func (n *Node) view(lastTotalGbps float64) NodeView {
-	m := n.cfg.Machine
+	m := &n.cfg.Machine
 	beWays := n.beWays()
 	v := NodeView{
 		ID:        n.cfg.ID,
@@ -494,12 +507,12 @@ func (n *Node) view(lastTotalGbps float64) NodeView {
 		BECount:   n.beCount,
 		BEWays:    beWays,
 		TotalGbps: lastTotalGbps,
-		Machine:   m,
+		Machine:   *m,
 	}
 	beBytes := m.WaysBytes(beWays)
 	for c := n.hpCount; c < len(n.jobs); c++ {
-		if j := n.jobs[c]; j != nil {
-			fp := j.Profile.MaxFootprint()
+		if n.jobs[c] != nil {
+			fp := n.jobFP[c]
 			if fp > beBytes {
 				fp = beBytes
 			}
@@ -517,8 +530,8 @@ func (n *Node) view(lastTotalGbps float64) NodeView {
 		for i := range fp {
 			fp[i] = 0
 		}
-		for i, hp := range n.cfg.HPs {
-			fp[n.multi.GroupOf(i)] += hp.MaxFootprint()
+		for i, f := range n.hpFP {
+			fp[n.multi.GroupOf(i)] += f
 		}
 		for gi := 0; gi < k; gi++ {
 			bytes := m.WaysBytes(n.multi.GroupWays(gi))

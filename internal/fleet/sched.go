@@ -117,11 +117,13 @@ const pressureWeight = 0.15
 // Name implements Scheduler.
 func (HeadroomScheduler) Name() string { return "headroom" }
 
-// Pick implements Scheduler.
+// Pick implements Scheduler. Views are scored in place, so no NodeView
+// (nor the Machine it carries) is copied per candidate.
 func (HeadroomScheduler) Pick(job *Job, views []NodeView) (int, bool) {
 	best, ok := 0, false
 	bestScore := 0.0
-	for i, v := range views {
+	for i := range views {
+		v := &views[i]
 		score, feasible := headroomScore(job, v)
 		if !feasible {
 			continue
@@ -135,11 +137,13 @@ func (HeadroomScheduler) Pick(job *Job, views []NodeView) (int, bool) {
 }
 
 // headroomScore scores one candidate; feasible is false when the
-// predicted placement crosses the saturation knee.
-func headroomScore(job *Job, v NodeView) (score float64, feasible bool) {
-	link := v.Machine.Link
+// predicted placement crosses the saturation knee. The job's bandwidth
+// and footprint come from its demand table.
+func headroomScore(job *Job, v *NodeView) (score float64, feasible bool) {
+	d := job.demandOn(&v.Machine)
+	link := &v.Machine.Link
 	kneeGbps := link.Knee * link.CapacityGBps
-	predicted := v.TotalGbps + PredictJobGbps(v.Machine, job.Profile, v.BEWays, v.BECount)
+	predicted := v.TotalGbps + d.predict(v.BEWays, v.BECount)
 	if predicted > kneeGbps {
 		return 0, false
 	}
@@ -147,7 +151,7 @@ func headroomScore(job *Job, v NodeView) (score float64, feasible bool) {
 
 	beBytes := v.Machine.WaysBytes(v.BEWays)
 	if beBytes > 0 {
-		fp := job.Profile.MaxFootprint()
+		fp := d.footprint
 		if fp > beBytes {
 			fp = beBytes
 		}
@@ -166,16 +170,18 @@ func headroomScore(job *Job, v NodeView) (score float64, feasible bool) {
 // a node, from its miss-ratio curve evaluated at an equal share of the
 // BE partition among beCount resident jobs plus this one, at unloaded
 // memory latency. The worst phase bounds the demand — admission should
-// be conservative about streamers.
+// be conservative about streamers. It is the definition the fleet's
+// per-application demand tables are filled from.
 func PredictJobGbps(m machine.Machine, p app.Profile, beWays, beCount int) float64 {
 	share := m.WaysBytes(beWays)
 	if beCount+1 > 0 {
 		share /= float64(beCount + 1)
 	}
 	worst := 0.0
-	for _, ph := range p.Phases {
+	for i := range p.Phases {
+		ph := &p.Phases[i]
 		miss := ph.Curve.MissRatio(share)
-		perf := app.PhasePerfMiss(m, ph, miss, 1, 1)
+		perf := app.PhasePerfMissRef(&m, ph, miss, 1, 1)
 		if gbps := perf.BytesPerSec * 8 / 1e9; gbps > worst {
 			worst = gbps
 		}

@@ -75,20 +75,23 @@ func (m Machine) Validate() error {
 	return m.Link.Validate()
 }
 
-// WayBytes returns the capacity of one LLC way.
-func (m Machine) WayBytes() float64 {
+// WayBytes returns the capacity of one LLC way. WayBytes, WaysBytes and
+// CoLocFactor take pointer receivers for the same reason CyclesPerSecond
+// does: the simulator's share solve and the fleet's placement pass call
+// them per process and per candidate node.
+func (m *Machine) WayBytes() float64 {
 	return float64(m.LLCBytes) / float64(m.LLCWays)
 }
 
 // WaysBytes returns the capacity of n LLC ways.
-func (m Machine) WaysBytes(n int) float64 {
+func (m *Machine) WaysBytes(n int) float64 {
 	return float64(n) * m.WayBytes()
 }
 
 // CoLocFactor returns the base-CPI multiplier applied when otherActive
 // other cores are running work (linear in socket occupancy, maxing out at
 // CoLocCPIPenalty on a full socket).
-func (m Machine) CoLocFactor(otherActive int) float64 {
+func (m *Machine) CoLocFactor(otherActive int) float64 {
 	if m.Cores <= 1 || otherActive <= 0 {
 		return 1
 	}

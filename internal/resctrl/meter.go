@@ -49,7 +49,7 @@ type Period struct {
 // NewMeter creates a Meter and takes the initial baseline reading.
 func NewMeter(sys System) *Meter {
 	m := &Meter{sys: sys}
-	m.readInto(&m.prev)
+	m.Rebaseline()
 	return m
 }
 
@@ -69,7 +69,15 @@ func (m *Meter) readInto(c *Counters) {
 // population between periods (the fleet layer attaches and detaches BE
 // jobs at period boundaries) rebaseline so the next Sample never
 // subtracts an old process's cumulative counters from a fresh one's.
+//
+// A baseline is only ever subtracted from, so it needs the cumulative
+// counters alone: through a CumulativeReader it skips the occupancy
+// estimate, which on the simulator is a full cache-share solve.
 func (m *Meter) Rebaseline() {
+	if cr, ok := m.sys.(CumulativeReader); ok {
+		cr.CumulativeInto(&m.prev)
+		return
+	}
 	m.readInto(&m.prev)
 }
 

@@ -87,6 +87,17 @@ type CountersReader interface {
 	CountersInto(*Counters)
 }
 
+// CumulativeReader is an optional System extension for taking a
+// baseline: it fills a caller-owned Counters like CountersInto, but only
+// the cumulative quantities a later delta subtracts — time, per-core
+// instructions and cycles, per-group MBM bytes — are guaranteed; the
+// instantaneous CMT occupancy may read zero. On the simulator-backed
+// substrate this skips the cache-share solve that occupancy needs.
+// Meter.Rebaseline prefers it when available.
+type CumulativeReader interface {
+	CumulativeInto(*Counters)
+}
+
 // Emu implements System over the discrete-time simulator.
 type Emu struct {
 	r      *sim.Runner
@@ -168,6 +179,18 @@ func (e *Emu) Counters() Counters {
 // shares nothing with it.
 func (e *Emu) CountersInto(out *Counters) {
 	e.r.SnapshotInto(&e.snap)
+	e.fill(out)
+}
+
+// CumulativeInto implements CumulativeReader over the simulator's
+// solve-free counter read.
+func (e *Emu) CumulativeInto(out *Counters) {
+	e.r.CumulativeInto(&e.snap)
+	e.fill(out)
+}
+
+// fill copies the Emu's snapshot scratch into out.
+func (e *Emu) fill(out *Counters) {
 	out.Time = e.snap.Time
 	out.Cores = out.Cores[:0]
 	out.Groups = out.Groups[:0]
@@ -191,6 +214,7 @@ func (e *Emu) CountersInto(out *Counters) {
 }
 
 var (
-	_ System         = (*Emu)(nil)
-	_ CountersReader = (*Emu)(nil)
+	_ System           = (*Emu)(nil)
+	_ CountersReader   = (*Emu)(nil)
+	_ CumulativeReader = (*Emu)(nil)
 )

@@ -770,9 +770,19 @@ func (r *Runner) Snapshot() Snapshot {
 // min(OccupancyDemand(share), share) bytes resident — the performance
 // model's other outputs do not enter the snapshot, so no Perf evaluation
 // is needed.
-func (r *Runner) SnapshotInto(snap *Snapshot) {
+func (r *Runner) SnapshotInto(snap *Snapshot) { r.snapshotInto(snap, true) }
+
+// CumulativeInto fills snap like SnapshotInto except that every
+// OccupancyBytes is left zero. The other counters are cumulative and do
+// not depend on the solved shares, so no share solve runs: after an
+// Attach, Detach or mask change the solve is left to the next Step,
+// which would run it on the same inputs anyway. A meter taking a new
+// baseline needs nothing more.
+func (r *Runner) CumulativeInto(snap *Snapshot) { r.snapshotInto(snap, false) }
+
+func (r *Runner) snapshotInto(snap *Snapshot, occupancy bool) {
 	snap.Time = r.time
-	if len(r.procs) > 0 {
+	if occupancy && len(r.procs) > 0 {
 		r.solveShares()
 	}
 	occ := growF64(r.occBuf, len(r.masks))
@@ -783,7 +793,7 @@ func (r *Runner) SnapshotInto(snap *Snapshot) {
 	snap.Cores = snap.Cores[:0]
 	snap.Clos = snap.Clos[:0]
 	for i, s := range r.procs {
-		if !s.parked {
+		if occupancy && !s.parked {
 			o := s.proc.PhaseRef().Curve.OccupancyDemand(r.shares[i])
 			if o > r.shares[i] {
 				o = r.shares[i]

@@ -146,7 +146,8 @@ func TestExclusivePartitionIsolation(t *testing.T) {
 	// with 9 hungry BEs (partition isolation); only the co-location CPI
 	// penalty and bandwidth inflation may slow it.
 	perf := r.Proc(0)
-	cpiNoMiss := 0.8 * testMachine().CoLocFactor(9)
+	tm := testMachine()
+	cpiNoMiss := 0.8 * tm.CoLocFactor(9)
 	if got := perf.Instructions / perf.Cycles; got < 1/(cpiNoMiss*1.01) {
 		// IPC should be within a hair of the no-capacity-miss value.
 		t.Fatalf("HP IPC = %g, want ~%g (isolated partition)", got, 1/cpiNoMiss)

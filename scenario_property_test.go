@@ -73,7 +73,8 @@ func TestPropertyBEPermutationInvariance(t *testing.T) {
 // floating-point noise in the simulator's operating-point solve.
 func TestPropertyMoreCacheNeverHurtsUM(t *testing.T) {
 	const tol = 1e-6
-	wayBytes := DefaultMachine().WayBytes()
+	paper := DefaultMachine()
+	wayBytes := paper.WayBytes()
 	prev := -1.0
 	for _, ways := range []int{10, 14, 18, 20, 24, 28} {
 		m := DefaultMachine()
