@@ -208,38 +208,32 @@ func (pr *Proc) Perf(m machine.Machine, cacheBytes, inflation, baseFactor float6
 // (cacheBytes, inflation), crossing phase boundaries and restarting as
 // needed. It returns the instructions retired during the interval.
 func (pr *Proc) Advance(m machine.Machine, cacheBytes, inflation, baseFactor, dt float64) float64 {
-	return pr.advance(&m, cacheBytes, -1, inflation, baseFactor, dt)
+	ph := pr.PhaseRef()
+	perf := PhasePerfMissRef(&m, ph, ph.Curve.MissRatio(cacheBytes), inflation, baseFactor)
+	return pr.AdvanceFrom(&m, 1/perf.IPC, perf.BytesPerSec, cacheBytes, inflation, baseFactor, dt)
 }
 
-// AdvanceMiss is Advance with a precomputed miss ratio for the process's
-// current phase at cacheBytes (callers that already solved the cache
-// sharing hold it). Later phases entered during the interval evaluate
-// their own curves as usual.
-func (pr *Proc) AdvanceMiss(m machine.Machine, cacheBytes, miss, inflation, baseFactor, dt float64) float64 {
-	return pr.advance(&m, cacheBytes, miss, inflation, baseFactor, dt)
-}
-
-// AdvanceMissRef is AdvanceMiss with the machine taken by pointer, for
-// per-step callers (the simulator advances every process every Step and
-// the struct copy would dominate). The machine is read, never written.
-func (pr *Proc) AdvanceMissRef(m *machine.Machine, cacheBytes, miss, inflation, baseFactor, dt float64) float64 {
-	return pr.advance(m, cacheBytes, miss, inflation, baseFactor, dt)
-}
-
-func (pr *Proc) advance(m *machine.Machine, cacheBytes, miss, inflation, baseFactor, dt float64) float64 {
+// AdvanceFrom is the advance kernel: it runs the process for dt seconds,
+// the current phase at a precomputed operating point (cpi, exactly
+// 1/Perf.IPC, and bytesPerSec), and every phase entered during the
+// interval at its own model evaluated at (cacheBytes, inflation,
+// baseFactor). Callers that memoise the operating point across steps
+// (the simulator) skip the model entirely until a phase boundary. The
+// machine is read, never written. It returns the instructions retired.
+func (pr *Proc) AdvanceFrom(m *machine.Machine, cpi, bytesPerSec, cacheBytes, inflation, baseFactor, dt float64) float64 {
 	cps := m.CyclesPerSecond()
 	cyclesLeft := dt * cps
 	var retired float64
+	entered := false
 	for cyclesLeft > 1e-9 {
 		ph := &pr.Profile.Phases[pr.phase]
-		if miss < 0 {
-			miss = ph.Curve.MissRatio(cacheBytes)
+		if entered {
+			perf := PhasePerfMissRef(m, ph, ph.Curve.MissRatio(cacheBytes), inflation, baseFactor)
+			cpi, bytesPerSec = 1/perf.IPC, perf.BytesPerSec
+			entered = false
 		}
-		perf := PhasePerfMissRef(m, ph, miss, inflation, baseFactor)
-		phaseRemaining := ph.Instructions - pr.phaseInstr
 		// Cycles needed to finish the phase at the current CPI.
-		cpi := 1 / perf.IPC
-		needed := phaseRemaining * cpi
+		needed := (ph.Instructions - pr.phaseInstr) * cpi
 		step := cyclesLeft
 		finishes := needed <= cyclesLeft
 		if finishes {
@@ -249,7 +243,7 @@ func (pr *Proc) advance(m *machine.Machine, cacheBytes, miss, inflation, baseFac
 		pr.phaseInstr += instr
 		pr.Instructions += instr
 		pr.Cycles += step
-		pr.MemBytes += perf.BytesPerSec * (step / cps)
+		pr.MemBytes += bytesPerSec * (step / cps)
 		retired += instr
 		cyclesLeft -= step
 		if finishes {
@@ -259,7 +253,7 @@ func (pr *Proc) advance(m *machine.Machine, cacheBytes, miss, inflation, baseFac
 				pr.phase = 0
 				pr.Completions++
 			}
-			miss = -1 // next phase evaluates its own curve
+			entered = true
 		}
 	}
 	return retired

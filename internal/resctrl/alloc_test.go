@@ -4,7 +4,7 @@ import "testing"
 
 // The experiment engine samples the meter once per monitoring period —
 // ~557k times across the 59×59 sweep — so the steady-state sampling
-// path (Runner snapshot → Emu counters → Meter period) is pinned at
+// path (Runner read API → Emu counters → Meter period) is pinned at
 // zero allocations per call.
 
 func TestMeterSampleSteadyStateZeroAlloc(t *testing.T) {
@@ -44,5 +44,32 @@ func TestRebaselineSteadyStateZeroAlloc(t *testing.T) {
 		m.Rebaseline()
 	}); got != 0 {
 		t.Errorf("steady-state Rebaseline allocates %v/op, want 0", got)
+	}
+}
+
+// TestMeterSampleAfterMaskChangeZeroAlloc covers the path where a mask
+// change invalidated the cache shares, so the share solve runs inside
+// Sample's occupancy read: it must run out of Runner-owned scratch too.
+func TestMeterSampleAfterMaskChangeZeroAlloc(t *testing.T) {
+	e := testEmu(t, false)
+	m := NewMeter(e)
+	masks := [2]uint64{0xfff00, 0xffff0}
+	for i := 0; i < 3; i++ {
+		e.Runner().Step(0.25)
+		_ = e.SetCBM(0, masks[i%2])
+		m.Sample()
+	}
+	flip := 0
+	if got := testing.AllocsPerRun(200, func() {
+		e.Runner().Step(0.25)
+		if err := e.SetCBM(0, masks[flip%2]); err != nil {
+			t.Fatal(err)
+		}
+		flip++
+		if p := m.Sample(); p.Seconds <= 0 {
+			t.Error("non-positive period")
+		}
+	}); got != 0 {
+		t.Errorf("Sample after a mask change allocates %v/op, want 0", got)
 	}
 }

@@ -102,7 +102,6 @@ type CumulativeReader interface {
 type Emu struct {
 	r      *sim.Runner
 	hasMBA bool
-	snap   sim.Snapshot // scratch reused by CountersInto
 }
 
 // NewEmu wraps a simulator runner. withMBA controls whether SetMBACap is
@@ -174,42 +173,38 @@ func (e *Emu) Counters() Counters {
 }
 
 // CountersInto implements CountersReader: it fills out with a fresh
-// reading, reusing out's slices when their capacity suffices. The
-// simulator snapshot behind it is Emu-owned scratch; the filled Counters
-// shares nothing with it.
-func (e *Emu) CountersInto(out *Counters) {
-	e.r.SnapshotInto(&e.snap)
-	e.fill(out)
-}
+// reading straight from the simulator, reusing out's slices when their
+// capacity suffices. Occupancy is the simulator's memoised estimate, so
+// the read solves the cache shares only after a change invalidated them.
+func (e *Emu) CountersInto(out *Counters) { e.read(out, true) }
 
-// CumulativeInto implements CumulativeReader over the simulator's
-// solve-free counter read.
-func (e *Emu) CumulativeInto(out *Counters) {
-	e.r.CumulativeInto(&e.snap)
-	e.fill(out)
-}
+// CumulativeInto implements CumulativeReader: the same read with every
+// occupancy left zero, so no share solve runs.
+func (e *Emu) CumulativeInto(out *Counters) { e.read(out, false) }
 
-// fill copies the Emu's snapshot scratch into out.
-func (e *Emu) fill(out *Counters) {
-	out.Time = e.snap.Time
+// read fills out from the simulator's read API, occupancy included when
+// asked for.
+func (e *Emu) read(out *Counters, occupancy bool) {
+	r := e.r
+	out.Time = r.Time()
 	out.Cores = out.Cores[:0]
-	out.Groups = out.Groups[:0]
-	for _, c := range e.snap.Cores {
+	for i := range r.NumProcs() {
+		core, clos, p := r.ProcAt(i)
 		out.Cores = append(out.Cores, CoreSample{
-			Core:         c.Core,
-			Clos:         c.Clos,
-			Name:         c.Name,
-			Instructions: c.Instructions,
-			Cycles:       c.Cycles,
+			Core:         core,
+			Clos:         clos,
+			Name:         p.Profile.Name,
+			Instructions: p.Instructions,
+			Cycles:       p.Cycles,
 		})
 	}
-	for _, g := range e.snap.Clos {
-		out.Groups = append(out.Groups, GroupSample{
-			Clos:           g.Clos,
-			CBM:            g.Mask,
-			OccupancyBytes: g.OccupancyBytes,
-			MemBytes:       g.MemBytes,
-		})
+	out.Groups = out.Groups[:0]
+	for c := range r.NumClos() {
+		g := GroupSample{Clos: c, CBM: r.Mask(c), MemBytes: r.ClosBytes(c)}
+		if occupancy {
+			g.OccupancyBytes = r.Occupancy(c)
+		}
+		out.Groups = append(out.Groups, g)
 	}
 }
 

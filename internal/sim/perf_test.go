@@ -97,54 +97,106 @@ func TestStepZeroAllocsAfterMask(t *testing.T) {
 	}
 }
 
-// TestStepEquivalenceReference locks the optimized solver to the retained
-// reference implementation: identical masks, caps, parking events and
-// steps must produce bit-identical per-proc counters and operating points.
+// TestStepEquivalenceReference locks the memoised solver to the retained
+// reference implementation: identical masks, caps, parking, CLOS moves,
+// detach/attach churn and steps must produce bit-identical per-proc
+// counters, operating points and per-CLOS traffic and occupancy after
+// every step. The events cover every path that must invalidate the memo,
+// including long steps that cross phase boundaries and wrap a profile,
+// one of them taken while the optimised runner is switched to the
+// reference solver, and a Reset to an empty runner at the end.
 func TestStepEquivalenceReference(t *testing.T) {
-	build := func() *Runner { return tenCoreRunner(t) }
-	opt := build()
-	ref := build()
+	opt := tenCoreRunner(t)
+	ref := tenCoreRunner(t)
 	ref.UseReferenceSolver(true)
 
 	type event struct {
-		step  int
-		apply func(r *Runner)
+		step    int
+		optOnly bool // the reference runner stays on the reference solver
+		apply   func(r *Runner)
 	}
 	events := []event{
-		{3, func(r *Runner) { _ = r.SetMask(0, cache.ContiguousMask(4, 16)) }},
-		{3, func(r *Runner) { _ = r.SetMask(1, cache.ContiguousMask(0, 4)) }},
-		{7, func(r *Runner) { _ = r.SetBWCap(1, 20) }},
-		{11, func(r *Runner) { _ = r.SetCoreParked(9, true) }},
-		{15, func(r *Runner) { _ = r.SetCoreParked(9, false) }},
-		{19, func(r *Runner) { _ = r.SetBWCap(1, 0) }},
-		{23, func(r *Runner) { _ = r.SetMask(0, cache.ContiguousMask(1, 19)) }},
-		{23, func(r *Runner) { _ = r.SetMask(1, cache.ContiguousMask(0, 1)) }},
+		{3, false, func(r *Runner) { _ = r.SetMask(0, cache.ContiguousMask(4, 16)) }},
+		{3, false, func(r *Runner) { _ = r.SetMask(1, cache.ContiguousMask(0, 4)) }},
+		{7, false, func(r *Runner) { _ = r.SetBWCap(1, 20) }},
+		{11, false, func(r *Runner) { _ = r.SetCoreParked(9, true) }},
+		{15, false, func(r *Runner) { _ = r.SetCoreParked(9, false) }},
+		{19, false, func(r *Runner) { _ = r.SetBWCap(1, 0) }},
+		{23, false, func(r *Runner) { _ = r.SetMask(0, cache.ContiguousMask(1, 19)) }},
+		{23, false, func(r *Runner) { _ = r.SetMask(1, cache.ContiguousMask(0, 1)) }},
+		{28, false, func(r *Runner) { _ = r.SetClos(4, 0) }},
+		{30, false, func(r *Runner) { _ = r.Detach(7) }},
+		{32, false, func(r *Runner) { _ = r.SetClos(4, 1) }},
+		{33, false, func(r *Runner) { _ = r.Attach(7, 1, app.MustByName("milc1")) }},
+		{36, true, func(r *Runner) { r.UseReferenceSolver(true) }},
+		{37, true, func(r *Runner) { r.UseReferenceSolver(false) }},
 	}
-	for step := 0; step < 40; step++ {
-		for _, ev := range events {
-			if ev.step == step {
-				ev.apply(opt)
-				ev.apply(ref)
-			}
-		}
-		opt.Step(0.25)
-		ref.Step(0.25)
+	// Long steps cross several phase boundaries of the two-phase gcc
+	// profiles, a profile wrap among them, and end in another phase than
+	// they start in, so the next step must re-solve.
+	long := map[int]bool{25: true, 36: true}
+	check := func(step int) {
+		t.Helper()
 		if opt.Inflation() != ref.Inflation() || opt.Utilisation() != ref.Utilisation() {
 			t.Fatalf("step %d: operating point diverged: inflation %v vs %v, util %v vs %v",
 				step, opt.Inflation(), ref.Inflation(), opt.Utilisation(), ref.Utilisation())
 		}
 		for core := 0; core < 10; core++ {
 			po, pr := opt.Proc(core), ref.Proc(core)
-			if po.Instructions != pr.Instructions || po.Cycles != pr.Cycles || po.MemBytes != pr.MemBytes {
-				t.Fatalf("step %d core %d: counters diverged: instr %v vs %v, cycles %v vs %v, bytes %v vs %v",
-					step, core, po.Instructions, pr.Instructions, po.Cycles, pr.Cycles, po.MemBytes, pr.MemBytes)
+			if (po == nil) != (pr == nil) {
+				t.Fatalf("step %d core %d: attached %v vs %v", step, core, po != nil, pr != nil)
+			}
+			if po == nil {
+				continue
+			}
+			if po.Instructions != pr.Instructions || po.Cycles != pr.Cycles || po.MemBytes != pr.MemBytes ||
+				po.Completions != pr.Completions || po.PhaseIndex() != pr.PhaseIndex() {
+				t.Fatalf("step %d core %d: counters diverged: instr %v vs %v, cycles %v vs %v, bytes %v vs %v, completions %d vs %d, phase %d vs %d",
+					step, core, po.Instructions, pr.Instructions, po.Cycles, pr.Cycles, po.MemBytes, pr.MemBytes,
+					po.Completions, pr.Completions, po.PhaseIndex(), pr.PhaseIndex())
+			}
+		}
+		for c := range opt.NumClos() {
+			if opt.ClosBytes(c) != ref.ClosBytes(c) || opt.Occupancy(c) != ref.Occupancy(c) {
+				t.Fatalf("step %d clos %d: bytes %v vs %v, occupancy %v vs %v",
+					step, c, opt.ClosBytes(c), ref.ClosBytes(c), opt.Occupancy(c), ref.Occupancy(c))
 			}
 		}
 	}
-	so, sr := opt.Snapshot(), ref.Snapshot()
-	for c := range so.Clos {
-		if so.Clos[c].MemBytes != sr.Clos[c].MemBytes || so.Clos[c].OccupancyBytes != sr.Clos[c].OccupancyBytes {
-			t.Fatalf("clos %d: snapshot diverged: %+v vs %+v", c, so.Clos[c], sr.Clos[c])
+	for step := 0; step < 44; step++ {
+		for _, ev := range events {
+			if ev.step == step {
+				ev.apply(opt)
+				if !ev.optOnly {
+					ev.apply(ref)
+				}
+			}
+		}
+		dt := 0.25
+		if long[step] {
+			dt = 100
+		}
+		gcc := opt.Proc(1)
+		phase, completions := gcc.PhaseIndex(), gcc.Completions
+		opt.Step(dt)
+		ref.Step(dt)
+		if long[step] {
+			crossed := (gcc.Completions-completions)*len(gcc.Profile.Phases) + gcc.PhaseIndex() - phase
+			if crossed < 2 || gcc.Completions == completions || gcc.PhaseIndex() == phase {
+				t.Fatalf("step %d: long step crossed %d phase boundaries and %d wraps, ending in phase %d from %d; want >=2, >=1 and another phase",
+					step, crossed, gcc.Completions-completions, gcc.PhaseIndex(), phase)
+			}
+		}
+		check(step)
+	}
+	for _, r := range []*Runner{opt, ref} {
+		if err := r.Reset(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c := range opt.NumClos() {
+		if opt.Occupancy(c) != 0 || ref.Occupancy(c) != 0 {
+			t.Fatalf("clos %d after Reset: occupancy %v vs %v, want 0", c, opt.Occupancy(c), ref.Occupancy(c))
 		}
 	}
 }

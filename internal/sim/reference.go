@@ -242,3 +242,20 @@ func (r *Runner) stepReference(dt float64) {
 	}
 	r.time += dt
 }
+
+// referenceOccupancy is Occupancy computed afresh: each unparked process's
+// resident bytes at the reference solver's shares, summed in attach order.
+func (r *Runner) referenceOccupancy(clos int) float64 {
+	r.referenceSolveShares()
+	var occ float64
+	for i, s := range r.procs {
+		if s.clos == clos && !s.parked {
+			o := s.proc.Phase().Curve.OccupancyDemand(r.shares[i])
+			if o > r.shares[i] {
+				o = r.shares[i]
+			}
+			occ += o
+		}
+	}
+	return occ
+}

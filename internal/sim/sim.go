@@ -28,19 +28,22 @@
 //
 // Both solves are deterministic functions of inputs that change only at
 // period boundaries and phase transitions — CLOS masks, bandwidth caps,
-// the parked set, and each process's current phase — not every Step. The
-// Runner therefore caches the solved operating point behind a
-// change-detection epoch: SetMask/SetBWCap/SetCoreParked/Attach bump the
-// epoch, and a per-process phase fingerprint is compared at each Step.
-// When nothing changed, Step is just the Advance loop; when something did,
-// the solves rerun into scratch buffers owned by the Runner, so the hot
-// path performs no allocation in either case. The pre-optimisation solver
-// is retained verbatim in reference.go and equivalence tests hold the two
-// to identical trajectories.
+// the parked set, CLOS membership, and each process's current phase — not
+// every Step. The Runner therefore memoises the solved operating point:
+// per process the miss ratio, CPI and memory traffic at its share, and
+// per CLOS the resident LLC bytes. Every mutator invalidates the memo, and
+// Step invalidates it when a process ends the step in a different phase
+// than it started. When nothing changed, Step advances every process from
+// its memo and evaluates no model; when something did, the solves rerun
+// into scratch buffers owned by the Runner, so the hot path performs no
+// allocation in either case. The pre-optimisation solver is retained
+// verbatim in reference.go and equivalence tests hold the two to
+// identical trajectories.
 //
 // The simulator exposes exactly the observables Intel RDT exposes —
 // per-core instructions/cycles, per-CLOS LLC occupancy (CMT) and memory
-// bandwidth (MBM) — which internal/resctrl wraps in a resctrl-like API.
+// bandwidth (MBM) — through a narrow read API (ProcAt, ClosBytes,
+// Occupancy) that internal/resctrl copies straight into its counters.
 package sim
 
 import (
@@ -70,20 +73,18 @@ type Runner struct {
 
 	time float64
 
-	// Change detection. epoch is bumped by every mutation that can move
-	// the solved operating point (masks, caps, parked set, attach/reset);
-	// lastPhases records each process's phase index at the last solve.
-	// The cached solve is valid only while both match.
-	epoch       uint64
-	solvedEpoch uint64
-	sharesValid bool
-	bwValid     bool
-	lastPhases  []int
+	// Memo validity. invalidate clears sharesValid on every mutation that
+	// can move the solved operating point (masks, caps, parked set, CLOS
+	// membership, attach/detach/reset) and when Step moves a process to
+	// another phase; a share re-solve clears bwValid.
+	sharesValid bool // shares, op[i].miss and occ
+	bwValid     bool // inflation, throttles, op[i].cpi and op[i].bytes
 
 	// Solved operating point (valid per the flags above).
 	shares    []float64 // per-proc cache capacity in bytes
 	pressure  []float64
-	opMiss    []float64 // per-proc miss ratio at (shares[i], current phase)
+	op        []opPoint // per-proc operating point at (shares[i], current phase)
+	occ       []float64 // per-CLOS resident bytes at the solved shares
 	curBF     float64   // co-location base-CPI factor at the last solve
 	throttles []float64 // per-CLOS MBA throttle at the solved inflation
 
@@ -99,7 +100,6 @@ type Runner struct {
 	regionCnt []int
 	thrVal    []float64 // per-CLOS throttle memo within one demand eval
 	thrSet    []bool
-	occBuf    []float64 // per-CLOS occupancy accumulator for SnapshotInto
 
 	// demandFn is the bandwidth-demand closure handed to membw.Link.Solve,
 	// bound once at construction so Step allocates nothing.
@@ -115,6 +115,15 @@ type Runner struct {
 	// useReference routes Step through the retained pre-optimisation
 	// solver (reference.go); equivalence tests flip it.
 	useReference bool
+}
+
+// opPoint is one process's memoised operating point: its current phase's
+// model evaluated at its solved share, inflation and throttle. Parked
+// processes have none; nothing reads their entry.
+type opPoint struct {
+	miss  float64 // miss ratio at the share
+	cpi   float64 // 1/Perf.IPC
+	bytes float64 // memory traffic in bytes/s
 }
 
 // slot binds a process to a core and CLOS.
@@ -164,6 +173,7 @@ func (r *Runner) resetState(closCount int) {
 	r.throttles = growF64(r.throttles, closCount)
 	r.thrVal = growF64(r.thrVal, closCount)
 	r.thrSet = growBool(r.thrSet, closCount)
+	r.occ = growF64(r.occ, closCount)
 	for i := 0; i < closCount; i++ {
 		r.masks[i] = r.m.FullMask()
 		r.caps[i] = 0
@@ -180,11 +190,10 @@ func (r *Runner) resetState(closCount int) {
 	r.invalidate()
 }
 
-// invalidate discards the cached operating point.
+// invalidate discards the memoised operating point. The share re-solve
+// it forces clears bwValid in turn.
 func (r *Runner) invalidate() {
-	r.epoch++
 	r.sharesValid = false
-	r.bwValid = false
 }
 
 // Machine returns the simulated platform.
@@ -210,11 +219,10 @@ func (r *Runner) Attach(core, clos int, prof app.Profile) error {
 	n := len(r.procs)
 	r.shares = growF64(r.shares, n)
 	r.pressure = growF64(r.pressure, n)
-	r.opMiss = growF64(r.opMiss, n)
+	r.op = growOp(r.op, n)
 	r.reach = growF64(r.reach, n)
 	r.capsBuf = growF64(r.capsBuf, n)
 	r.allocBuf = growF64(r.allocBuf, n)
-	r.lastPhases = growInt(r.lastPhases, n)
 	r.activeBuf = growInt(r.activeBuf, n)[:0]
 	r.wfLive = growInt(r.wfLive, n)[:0]
 	r.invalidate()
@@ -340,9 +348,9 @@ func (r *Runner) Proc(core int) *app.Proc {
 	return nil
 }
 
-// UseReferenceSolver routes all subsequent Steps (and share solves)
+// UseReferenceSolver routes all subsequent Steps and Occupancy reads
 // through the retained pre-optimisation solver in reference.go instead of
-// the cached allocation-free one. Solver-equivalence tests run the same
+// the memoised allocation-free one. Solver-equivalence tests run the same
 // scenario both ways and require identical trajectories; production code
 // never sets this.
 func (r *Runner) UseReferenceSolver(on bool) {
@@ -350,53 +358,36 @@ func (r *Runner) UseReferenceSolver(on bool) {
 	r.invalidate()
 }
 
-// solveShares brings r.shares up to date with the current masks, parked
-// set and phases. Kept as the single entry point so tests and Snapshot
-// share the cache (or the reference path when selected).
-func (r *Runner) solveShares() {
-	if r.useReference {
-		r.referenceSolveShares()
-		return
-	}
-	r.ensureShares()
-}
-
-// phasesUnchanged reports whether every process is still in the phase it
-// was in at the last solve.
-func (r *Runner) phasesUnchanged() bool {
-	for i, s := range r.procs {
-		if r.lastPhases[i] != s.proc.PhaseIndex() {
-			return false
-		}
-	}
-	return true
-}
-
-// ensureShares re-solves the cache sharing iff a mask/cap/parked mutation
-// (epoch) or a phase transition invalidated the cached result.
+// ensureShares re-solves the cache sharing iff a mutation or a phase
+// transition invalidated the memo, and memoises each process's miss ratio
+// and each CLOS's resident bytes at the new shares: per unparked process,
+// min(OccupancyDemand(share), share), summed in attach order.
 func (r *Runner) ensureShares() {
-	if len(r.procs) == 0 {
-		return
-	}
-	if r.sharesValid && r.solvedEpoch == r.epoch && r.phasesUnchanged() {
+	if r.sharesValid {
 		return
 	}
 	r.solveSharesFull()
+	clear(r.occ)
 	for i, s := range r.procs {
-		r.lastPhases[i] = s.proc.PhaseIndex()
 		if s.parked {
-			r.opMiss[i] = 0
 			continue
 		}
-		r.opMiss[i] = s.proc.Phase().Curve.MissRatio(r.shares[i])
+		curve, share := &s.proc.PhaseRef().Curve, r.shares[i]
+		r.op[i].miss = curve.MissRatio(share)
+		o := curve.OccupancyDemand(share)
+		if o > share {
+			o = share
+		}
+		r.occ[s.clos] += o
 	}
 	r.sharesValid = true
-	r.solvedEpoch = r.epoch
 	r.bwValid = false
 }
 
 // ensureOperatingPoint extends ensureShares with the bandwidth fixed
-// point: equilibrium latency inflation and per-CLOS MBA throttles.
+// point — equilibrium latency inflation and per-CLOS MBA throttles — and
+// memoises each process's CPI and traffic there, so Step's advance
+// evaluates no model for a process that stays in its phase.
 func (r *Runner) ensureOperatingPoint() {
 	r.ensureShares()
 	if r.bwValid {
@@ -412,6 +403,14 @@ func (r *Runner) ensureOperatingPoint() {
 		for c := range r.throttles {
 			r.throttles[c] = r.throttleAt(c, inflation)
 		}
+	}
+	for i, s := range r.procs {
+		if s.parked {
+			continue
+		}
+		op := &r.op[i]
+		perf := app.PhasePerfMissRef(&r.m, s.proc.PhaseRef(), op.miss, inflation*r.throttles[s.clos], r.curBF)
+		op.cpi, op.bytes = 1/perf.IPC, perf.BytesPerSec
 	}
 	r.bwValid = true
 }
@@ -596,7 +595,7 @@ func touchPressure(m *machine.Machine, pr *app.Proc, capacity, baseFactor float6
 // term for term.
 func (r *Runner) procGbps(i int, inflation float64) float64 {
 	s := r.procs[i]
-	perf := app.PhasePerfMissRef(&r.m, s.proc.PhaseRef(), r.opMiss[i], inflation, r.curBF)
+	perf := app.PhasePerfMissRef(&r.m, s.proc.PhaseRef(), r.op[i].miss, inflation, r.curBF)
 	return membw.BytesToGbps(perf.BytesPerSec, 1)
 }
 
@@ -685,7 +684,9 @@ func (r *Runner) Step(dt float64) {
 	r.ensureOperatingPoint()
 	inflation := r.lastInflation
 
-	// Advance processes at the solved operating point.
+	// Advance processes from the memoised operating point. A process that
+	// ends the step in another phase invalidates the memo for the next
+	// solve; the rest of this step still runs at the solved point.
 	for i, s := range r.procs {
 		if s.parked {
 			// A parked core makes no progress but wall-clock time still
@@ -694,10 +695,13 @@ func (r *Runner) Step(dt float64) {
 			s.proc.Cycles += dt * r.m.CyclesPerSecond()
 			continue
 		}
-		t := r.throttles[s.clos]
-		before := s.proc.MemBytes
-		s.proc.AdvanceMissRef(&r.m, r.shares[i], r.opMiss[i], inflation*t, r.curBF, dt)
+		op := &r.op[i]
+		phase, before := s.proc.PhaseIndex(), s.proc.MemBytes
+		s.proc.AdvanceFrom(&r.m, op.cpi, op.bytes, r.shares[i], inflation*r.throttles[s.clos], r.curBF, dt)
 		r.closBytes[s.clos] += s.proc.MemBytes - before
+		if s.proc.PhaseIndex() != phase {
+			r.invalidate()
+		}
 	}
 	r.time += dt
 }
@@ -720,103 +724,31 @@ func (r *Runner) Inflation() float64 { return r.lastInflation }
 // Utilisation returns the memory-link utilisation of the last Step.
 func (r *Runner) Utilisation() float64 { return r.lastUtil }
 
-// CoreCounters are the cumulative per-core performance counters.
-type CoreCounters struct {
-	Core         int
-	Clos         int
-	Name         string  // profile name, for reporting
-	Instructions float64 // retired instructions
-	Cycles       float64 // elapsed core cycles
-	Completions  int     // whole-profile completions (restarts)
+// NumProcs returns the number of attached processes.
+func (r *Runner) NumProcs() int { return len(r.procs) }
+
+// ProcAt returns the core, CLOS and process of the i-th attached process,
+// 0 <= i < NumProcs, in attach order (the order Occupancy sums in).
+func (r *Runner) ProcAt(i int) (core, clos int, p *app.Proc) {
+	s := r.procs[i]
+	return s.core, s.clos, s.proc
 }
 
-// IPC returns cumulative instructions per cycle.
-func (c CoreCounters) IPC() float64 {
-	if c.Cycles == 0 {
-		return 0
+// ClosBytes returns the cumulative memory traffic of clos in bytes
+// (MBM-style).
+func (r *Runner) ClosBytes(clos int) float64 { return r.closBytes[clos] }
+
+// Occupancy returns the LLC occupancy of clos in bytes (CMT-style): the
+// model's steady-state estimate for the current allocation, the sum over
+// the CLOS's unparked processes, in attach order, of the bytes each keeps
+// resident in its share. It solves the shares first if a mutation or a
+// phase transition invalidated them; the next Step reuses that solve.
+func (r *Runner) Occupancy(clos int) float64 {
+	if r.useReference {
+		return r.referenceOccupancy(clos)
 	}
-	return c.Instructions / c.Cycles
-}
-
-// ClosCounters are the per-CLOS RDT-style monitoring counters.
-type ClosCounters struct {
-	Clos           int
-	MemBytes       float64 // cumulative memory traffic (MBM-style)
-	OccupancyBytes float64 // instantaneous LLC occupancy (CMT-style)
-	Mask           uint64  // current capacity bit-mask
-}
-
-// Snapshot is a consistent view of all counters at the current time.
-type Snapshot struct {
-	Time  float64
-	Cores []CoreCounters
-	Clos  []ClosCounters
-}
-
-// Snapshot captures all counters. Occupancy is the model's steady-state
-// estimate for the current allocation: the sum over the CLOS's processes
-// of the bytes they keep resident in their current share.
-func (r *Runner) Snapshot() Snapshot {
-	var snap Snapshot
-	r.SnapshotInto(&snap)
-	return snap
-}
-
-// SnapshotInto fills snap with the current counters, reusing snap's Cores
-// and Clos slices when their capacity suffices. Per-period monitoring
-// (resctrl.Meter via Emu) calls this with a reused snapshot so sampling
-// performs no allocation in steady state. The occupancy estimate is
-// identical to Snapshot's: each unparked process keeps
-// min(OccupancyDemand(share), share) bytes resident — the performance
-// model's other outputs do not enter the snapshot, so no Perf evaluation
-// is needed.
-func (r *Runner) SnapshotInto(snap *Snapshot) { r.snapshotInto(snap, true) }
-
-// CumulativeInto fills snap like SnapshotInto except that every
-// OccupancyBytes is left zero. The other counters are cumulative and do
-// not depend on the solved shares, so no share solve runs: after an
-// Attach, Detach or mask change the solve is left to the next Step,
-// which would run it on the same inputs anyway. A meter taking a new
-// baseline needs nothing more.
-func (r *Runner) CumulativeInto(snap *Snapshot) { r.snapshotInto(snap, false) }
-
-func (r *Runner) snapshotInto(snap *Snapshot, occupancy bool) {
-	snap.Time = r.time
-	if occupancy && len(r.procs) > 0 {
-		r.solveShares()
-	}
-	occ := growF64(r.occBuf, len(r.masks))
-	r.occBuf = occ
-	for c := range occ {
-		occ[c] = 0
-	}
-	snap.Cores = snap.Cores[:0]
-	snap.Clos = snap.Clos[:0]
-	for i, s := range r.procs {
-		if occupancy && !s.parked {
-			o := s.proc.PhaseRef().Curve.OccupancyDemand(r.shares[i])
-			if o > r.shares[i] {
-				o = r.shares[i]
-			}
-			occ[s.clos] += o
-		}
-		snap.Cores = append(snap.Cores, CoreCounters{
-			Core:         s.core,
-			Clos:         s.clos,
-			Name:         s.proc.Profile.Name,
-			Instructions: s.proc.Instructions,
-			Cycles:       s.proc.Cycles,
-			Completions:  s.proc.Completions,
-		})
-	}
-	for c := range r.masks {
-		snap.Clos = append(snap.Clos, ClosCounters{
-			Clos:           c,
-			MemBytes:       r.closBytes[c],
-			OccupancyBytes: occ[c],
-			Mask:           r.masks[c],
-		})
-	}
+	r.ensureShares()
+	return r.occ[clos]
 }
 
 // grow helpers: reslice when capacity suffices, reallocate otherwise.
@@ -834,6 +766,13 @@ func growU64(s []uint64, n int) []uint64 {
 		return s[:n]
 	}
 	return make([]uint64, n)
+}
+
+func growOp(s []opPoint, n int) []opPoint {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]opPoint, n)
 }
 
 func growInt(s []int, n int) []int {

@@ -166,7 +166,7 @@ func TestSharedCacheDividedByPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Step(1)
-	r.solveShares()
+	r.ensureShares()
 	total := r.shares[0] + r.shares[1]
 	if math.Abs(total-float64(testMachine().LLCBytes)) > 1e-6*float64(testMachine().LLCBytes) {
 		t.Fatalf("shares sum to %g, want full LLC %d", total, testMachine().LLCBytes)
@@ -192,7 +192,7 @@ func TestSmallFootprintAppRetainsHotSet(t *testing.T) {
 		}
 	}
 	r.Step(1)
-	r.solveShares()
+	r.ensureShares()
 	if r.shares[0] < 0.5*app.MB {
 		t.Fatalf("hot app share = %g, want >= its 0.5 MB footprint", r.shares[0])
 	}
@@ -242,8 +242,7 @@ func TestSqueezeRaisesBandwidth(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.Step(1)
-		snap := r.Snapshot()
-		return snap.Clos[1].MemBytes
+		return r.ClosBytes(1)
 	}
 	squeezed := run(1)
 	generous := run(16)
@@ -263,8 +262,7 @@ func TestBWCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Step(1)
-	snap := r.Snapshot()
-	gbps := snap.Clos[1].MemBytes * 8 / 1e9
+	gbps := r.ClosBytes(1) * 8 / 1e9
 	if gbps > 21 {
 		t.Fatalf("capped CLOS consumed %.1f Gbps, cap was 20", gbps)
 	}
@@ -321,27 +319,27 @@ func TestSnapshotConsistency(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		r.Step(0.25)
 	}
-	snap := r.Snapshot()
-	if snap.Time != r.Time() {
-		t.Fatal("snapshot time mismatch")
+	if r.NumProcs() != 2 || r.NumClos() != 2 {
+		t.Fatalf("read API sizes: %d procs, %d clos", r.NumProcs(), r.NumClos())
 	}
-	if len(snap.Cores) != 2 || len(snap.Clos) != 2 {
-		t.Fatalf("snapshot sizes: %d cores, %d clos", len(snap.Cores), len(snap.Clos))
-	}
-	for _, c := range snap.Cores {
-		if c.Cycles <= 0 || c.Instructions <= 0 {
-			t.Fatalf("core %d has empty counters: %+v", c.Core, c)
+	for i := range r.NumProcs() {
+		core, clos, p := r.ProcAt(i)
+		if core != i || clos != i || r.Proc(core) != p {
+			t.Fatalf("proc %d: core %d clos %d, Proc(core) %p vs %p", i, core, clos, r.Proc(core), p)
 		}
-		if c.IPC() <= 0 || c.IPC() > 4 {
-			t.Fatalf("core %d IPC %g implausible", c.Core, c.IPC())
+		if p.Cycles <= 0 || p.Instructions <= 0 {
+			t.Fatalf("core %d has empty counters: %+v", core, p)
+		}
+		if p.IPC() <= 0 || p.IPC() > 4 {
+			t.Fatalf("core %d IPC %g implausible", core, p.IPC())
 		}
 	}
 	var occ float64
-	for _, g := range snap.Clos {
-		if g.MemBytes < 0 || g.OccupancyBytes < 0 {
-			t.Fatalf("negative counters: %+v", g)
+	for c := range r.NumClos() {
+		if r.ClosBytes(c) < 0 || r.Occupancy(c) < 0 {
+			t.Fatalf("clos %d: negative counters: %g bytes, %g occupancy", c, r.ClosBytes(c), r.Occupancy(c))
 		}
-		occ += g.OccupancyBytes
+		occ += r.Occupancy(c)
 	}
 	if occ > float64(testMachine().LLCBytes)+1 {
 		t.Fatalf("total occupancy %g exceeds LLC", occ)
@@ -349,7 +347,7 @@ func TestSnapshotConsistency(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	run := func() Snapshot {
+	run := func() *Runner {
 		r := mustRunner(t, 2)
 		_ = r.Attach(0, 0, mkApp("hp", 0.8, 12, 0.2, 3, 0.5))
 		for i := 1; i < 6; i++ {
@@ -360,12 +358,12 @@ func TestDeterminism(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			r.Step(0.25)
 		}
-		return r.Snapshot()
+		return r
 	}
 	a, b := run(), run()
-	for i := range a.Cores {
-		if a.Cores[i].Instructions != b.Cores[i].Instructions {
-			t.Fatalf("non-deterministic instructions on core %d", i)
+	for core := range a.NumProcs() {
+		if a.Proc(core).Instructions != b.Proc(core).Instructions {
+			t.Fatalf("non-deterministic instructions on core %d", core)
 		}
 	}
 }
@@ -480,7 +478,7 @@ func TestPropertySharesBounded(t *testing.T) {
 			return false
 		}
 		r.Step(0.5)
-		r.solveShares()
+		r.ensureShares()
 		var sum float64
 		for _, sh := range r.shares {
 			if sh < 0 {
