@@ -99,8 +99,6 @@ type (
 	Workload = experiments.Workload
 	// Result is one co-located run's outcome.
 	Result = experiments.Result
-	// SLOMonitor tracks rolling per-period SLO conformance with an alarm.
-	SLOMonitor = metrics.SLOMonitor
 	// ChaosConfig is a deterministic fault schedule for the chaos layer
 	// (counter dropout, frozen/jittered readings, rejected and delayed
 	// schemata writes).
@@ -226,15 +224,9 @@ type (
 	// HypoVerdict is one comparison's judged outcome (CI, effect size,
 	// status, seed-widening trajectory).
 	HypoVerdict = hypo.Verdict
-	// MultiController is the multi-HP DICER controller: per-CLOS-group
-	// DICER state machines over an LFOC-style clustering plan, under a
-	// fixed CLOS budget (ROADMAP item 2).
-	MultiController = core.MultiController
-	// MultiControllerConfig holds the multi-HP controller's tunables:
-	// the per-group DICER config plus the clustering policy knobs.
-	MultiControllerConfig = core.MultiConfig
-	// GroupControllerEvent is one traced per-group controller decision.
-	GroupControllerEvent = core.GroupEvent
+	// MultiConfig holds the multi-HP controller's tunables: the
+	// per-group DICER config plus the clustering policy knobs.
+	MultiConfig = core.MultiConfig
 	// ClusterConfig bounds an LFOC-style clustering run.
 	ClusterConfig = cluster.Config
 	// ClusterSpec describes one HP application to the clustering policy.
@@ -246,7 +238,7 @@ type (
 	TraceGroupRecord = obs.GroupRecord
 )
 
-// Grouping policies for MultiScenario and MultiControllerConfig.
+// Grouping policies for MultiScenario and MultiConfig.
 const (
 	// GroupingClustered packs similar-sensitivity apps into shared CLOS
 	// groups (LFOC-style; the default).
@@ -310,7 +302,7 @@ func NewDICERWith(cfg ControllerConfig) (*Controller, error) { return core.New(c
 // NewMultiDICER builds a multi-HP DICER controller: one DICER state
 // machine per CLOS group over a clustering plan for specs. MultiScenario
 // wires one up end to end; use this directly to drive real hardware.
-func NewMultiDICER(cfg MultiControllerConfig, specs []ClusterSpec) (*MultiController, error) {
+func NewMultiDICER(cfg MultiConfig, specs []ClusterSpec) (*Controller, error) {
 	return core.NewMulti(cfg, specs)
 }
 
@@ -377,14 +369,6 @@ func NewChaosSystem(sys System, cfg ChaosConfig, seed int64) *ChaosSystem {
 // properties are machine-checked after every period and a violation
 // surfaces as an *InvariantError from Observe.
 func GuardPolicy(p Policy) *InvariantGuard { return invariant.Wrap(p) }
-
-// NewSLOMonitor builds a rolling conformance monitor over the last n
-// monitoring periods: feed it per-period HP IPC readings and it reports
-// the fraction that met the SLO, alarming (with a full-window guard) when
-// conformance drops below alarmBelow.
-func NewSLOMonitor(ipcAlone, slo float64, n int, alarmBelow float64) *SLOMonitor {
-	return metrics.NewSLOMonitor(ipcAlone, slo, n, alarmBelow)
-}
 
 // NewFleet builds a multi-node consolidation cluster. Step it once per
 // monitoring period until Done, then Finish for the aggregate

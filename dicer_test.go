@@ -237,26 +237,6 @@ func TestAloneIPCFacade(t *testing.T) {
 	}
 }
 
-func TestSLOMonitorFacade(t *testing.T) {
-	prof := mustApp(t, "omnetpp1")
-	ref, err := AloneIPC(Machine{}, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon := NewSLOMonitor(ref, 0.90, 10, 0.8)
-	sc := NewScenario("omnetpp1", "gcc_base1", 9)
-	sc.HorizonPeriods = 30
-	sc.OnPeriod = func(_ int, p Period) {
-		mon.Observe(p.ClosMeanIPC(0))
-	}
-	if _, err := sc.Run(NewDICER()); err != nil {
-		t.Fatal(err)
-	}
-	if c := mon.Conformance(); c < 0 || c > 1 {
-		t.Fatalf("conformance %g out of range", c)
-	}
-}
-
 func TestFleetFacade(t *testing.T) {
 	var buf bytes.Buffer
 	cl, err := NewFleet(FleetConfig{

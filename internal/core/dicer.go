@@ -26,6 +26,8 @@ package core
 import (
 	"fmt"
 
+	"dicer/internal/cache"
+	"dicer/internal/cluster"
 	"dicer/internal/policy"
 	"dicer/internal/resctrl"
 )
@@ -178,9 +180,12 @@ func (k EventKind) Cause() string {
 }
 
 // Event records one controller decision; examples and tests subscribe via
-// Config-free Trace to watch DICER think.
+// Trace to watch DICER think. Group is the CLOS group the decision
+// concerns (always 0 for the single-HP controller New builds); HPWays and
+// HPIPC carry that group's allocation and mean member IPC.
 type Event struct {
 	Period  int
+	Group   int
 	State   string
 	Kind    EventKind
 	Cause   string // provenance tag, Kind.Cause()
@@ -189,30 +194,50 @@ type Event struct {
 	TotalBW float64
 }
 
-// Controller is the single-HP DICER state machine. It implements
-// policy.Policy by running exactly one groupState (group.go) over the
-// whole HP/BE split — the same state machine MultiController runs once
-// per cluster group.
+// Controller is the DICER controller. It implements policy.Policy by
+// running one groupState (group.go) per CLOS group of HP applications:
+// group i is CLOS i, masks are stacked from the top of the LLC in group
+// order, and the BE partition takes the low-order remainder. New builds
+// the paper's single-HP controller — one group over [MinHPWays,
+// NumWays-MinBEWays] with BE on CLOS 1, exactly the HP/BE split of
+// policy.SplitWays. NewMulti (multi.go) builds the LFOC-style multi-HP
+// controller, whose clustering plan maps HP apps to groups.
 type Controller struct {
-	cfg Config
+	cfg MultiConfig // cfg.Group holds the DICER tunables
 
 	// Trace, when non-nil, receives one Event per decision.
 	Trace func(Event)
 
-	period int
-	g      groupState
+	groups     []groupState
+	totalWays  int
+	beClos     int
+	period     int
+	masksDirty bool
 
 	// sys is the system being actuated, valid for the duration of a
-	// Setup/Observe call (the groupHost callbacks need it).
+	// Setup/Observe call.
 	sys resctrl.System
+
+	// Planner state, set by NewMulti only: the caller-owned app view
+	// (refreshed via UpdateSpecs), the enforced plan, the clustering
+	// bounds and scratch for hint-free replanning.
+	specs        []cluster.AppSpec
+	plan         cluster.Plan
+	ccfg         cluster.Config
+	scratchSpecs []cluster.AppSpec
 }
 
-// New creates a DICER controller with the given configuration.
+// New creates the single-HP DICER controller with the given
+// configuration.
 func New(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Controller{cfg: cfg}, nil
+	return &Controller{
+		cfg:    MultiConfig{Group: cfg},
+		groups: make([]groupState, 1),
+		beClos: policy.BEClos,
+	}, nil
 }
 
 // MustNew is New with a panic on bad configuration, for tests/examples.
@@ -224,51 +249,133 @@ func MustNew(cfg Config) *Controller {
 	return c
 }
 
-// Name implements policy.Policy.
-func (c *Controller) Name() string { return "DICER" }
+// Name implements policy.Policy: "DICER", or "DICER-<grouping>" for a
+// controller built by NewMulti.
+func (c *Controller) Name() string {
+	if c.Grouped() {
+		return "DICER-" + c.cfg.Grouping
+	}
+	return "DICER"
+}
 
-// Config returns the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
+// Config returns the DICER tunables every group runs with.
+func (c *Controller) Config() Config { return c.cfg.Group }
 
-// HPWays returns the HP way count currently enforced.
-func (c *Controller) HPWays() int { return c.g.cur }
+// Grouped reports whether the controller was built by NewMulti: HP apps
+// are planned into CLOS groups, and traces use the v2 schema.
+func (c *Controller) Grouped() bool { return c.specs != nil }
+
+// HPWays returns the way count currently enforced for group 0 — the HP
+// partition of the single-HP controller.
+func (c *Controller) HPWays() int { return c.groups[0].cur }
 
 // Period returns the number of monitoring periods observed since Setup.
 // It increments by exactly one per Observe call — the invariant checker
 // (internal/invariant) relies on this to verify monotone bookkeeping.
 func (c *Controller) Period() int { return c.period }
 
-// CTFavoured reports whether the controller still assumes the workload is
+// CTFavoured reports whether group 0 still assumes the workload is
 // CT-Favoured (no bandwidth saturation observed so far).
-func (c *Controller) CTFavoured() bool { return c.g.ctFavoured }
+func (c *Controller) CTFavoured() bool { return c.groups[0].ctFavoured }
 
-// State returns the controller state name, for reporting.
-func (c *Controller) State() string { return c.g.st.String() }
+// State returns group 0's state name, for reporting.
+func (c *Controller) State() string { return c.groups[0].st.String() }
 
-// Setup implements policy.Policy: DICER begins exactly like CT, assuming a
-// CT-Favoured workload (Listing 1's initialisation).
-func (c *Controller) Setup(sys resctrl.System) error {
-	total := sys.NumWays()
-	if total < c.cfg.MinHPWays+c.cfg.MinBEWays {
-		return fmt.Errorf("dicer: %d ways cannot satisfy minimums %d+%d",
-			total, c.cfg.MinHPWays, c.cfg.MinBEWays)
+// NumGroups returns the number of HP CLOS groups currently enforced.
+func (c *Controller) NumGroups() int { return len(c.groups) }
+
+// MaxGroups returns the most HP groups the controller can run: one less
+// than the CLOS budget for a grouped controller, otherwise one.
+func (c *Controller) MaxGroups() int {
+	if c.Grouped() {
+		return c.cfg.CLOSBudget - 1
 	}
-	c.period = 0
-	c.g.init(&c.cfg, 0, c.cfg.MinHPWays, total-c.cfg.MinBEWays)
-	c.sys = sys
-	return c.applyGroup(&c.g)
+	return 1
 }
 
-// Observe implements policy.Policy: one invocation per monitoring period,
-// with the period's counter readings. This is Listing 1's dicer_driver
-// loop body.
+// BEClos returns the CLOS id of the best-effort partition.
+func (c *Controller) BEClos() int { return c.beClos }
+
+// GroupWays returns group gi's currently enforced allocation.
+func (c *Controller) GroupWays(gi int) int { return c.groups[gi].cur }
+
+// GroupState returns group gi's state name, for reporting.
+func (c *Controller) GroupState(gi int) string { return c.groups[gi].st.String() }
+
+// Setup implements policy.Policy: DICER begins exactly like CT, assuming
+// a CT-Favoured workload (Listing 1's initialisation) in every group.
+func (c *Controller) Setup(sys resctrl.System) error {
+	if c.Grouped() {
+		return c.setupPlan(sys)
+	}
+	total := sys.NumWays()
+	if total < c.cfg.Group.MinHPWays+c.cfg.Group.MinBEWays {
+		return fmt.Errorf("dicer: %d ways cannot satisfy minimums %d+%d",
+			total, c.cfg.Group.MinHPWays, c.cfg.Group.MinBEWays)
+	}
+	c.totalWays = total
+	c.period = 0
+	c.sys = sys
+	c.groups[0].init(&c.cfg.Group, 0, c.cfg.Group.MinHPWays, total-c.cfg.Group.MinBEWays)
+	return c.installMasks()
+}
+
+// Observe implements policy.Policy: one invocation per monitoring
+// period, with the period's counter readings. Every group runs Listing
+// 1's dicer_driver loop body against its CLOS's mean IPC and bandwidth;
+// mask changes from all groups are installed in one stacked relayout;
+// a grouped controller's re-cluster schedule then gets a chance to
+// regroup (reactively, or ahead of hinted phase changes).
 func (c *Controller) Observe(sys resctrl.System, p resctrl.Period) error {
 	c.period++
 	c.sys = sys
-	hpIPC := p.ClosMeanIPC(policy.HPClos)
-	hpBW := p.GroupBW(policy.HPClos)
-	saturated := p.TotalGbps > c.cfg.BWThresholdGbps && !c.cfg.DisableSaturationHandling
-	return c.g.observe(c, hpIPC, hpBW, p.TotalGbps, saturated)
+	saturated := p.TotalGbps > c.cfg.Group.BWThresholdGbps && !c.cfg.Group.DisableSaturationHandling
+
+	c.masksDirty = false
+	for gi := range c.groups {
+		c.groups[gi].observe(c, p.ClosMeanIPC(gi), p.GroupBW(gi), p.TotalGbps, saturated)
+	}
+	if c.masksDirty {
+		if err := c.installMasks(); err != nil {
+			return err
+		}
+	}
+	if c.cfg.ReclusterEvery > 0 && c.period%c.cfg.ReclusterEvery == 0 {
+		return c.maybeRecluster(p)
+	}
+	return nil
+}
+
+// installMasks lays the groups' current allocations out from the top of
+// the LLC and gives the BE partition the low-order remainder. Group
+// windows end at most MinBEWays below the top, so BE keeps its floor.
+func (c *Controller) installMasks() error {
+	top := c.totalWays
+	for gi := range c.groups {
+		w := c.groups[gi].cur
+		if err := c.sys.SetCBM(gi, cache.ContiguousMask(top-w, w)); err != nil {
+			return err
+		}
+		top -= w
+	}
+	return c.sys.SetCBM(c.beClos, cache.ContiguousMask(0, top))
+}
+
+// emit publishes one group decision to the Trace subscriber.
+func (c *Controller) emit(g *groupState, kind EventKind, ipc, totalBW float64) {
+	if c.Trace == nil {
+		return
+	}
+	c.Trace(Event{
+		Period:  c.period,
+		Group:   g.idx,
+		State:   g.st.String(),
+		Kind:    kind,
+		Cause:   kind.Cause(),
+		HPWays:  g.cur,
+		HPIPC:   ipc,
+		TotalBW: totalBW,
+	})
 }
 
 // ChainTrace subscribes fn to the controller's decision stream without
@@ -300,29 +407,6 @@ func ControllerOf(p policy.Policy) *Controller {
 		return v.Controller()
 	}
 	return nil
-}
-
-// emitGroup implements groupHost: legacy events carry the controller's
-// global period and the group's current allocation as HPWays.
-func (c *Controller) emitGroup(g *groupState, kind EventKind, ipc, totalBW float64) {
-	if c.Trace == nil {
-		return
-	}
-	c.Trace(Event{
-		Period:  c.period,
-		State:   g.st.String(),
-		Kind:    kind,
-		Cause:   kind.Cause(),
-		HPWays:  g.cur,
-		HPIPC:   ipc,
-		TotalBW: totalBW,
-	})
-}
-
-// applyGroup implements groupHost: the single group IS the HP partition,
-// so installing it is the classic two-CLOS split.
-func (c *Controller) applyGroup(g *groupState) error {
-	return policy.SplitWays(c.sys, g.cur)
 }
 
 var _ policy.Policy = (*Controller)(nil)

@@ -5,11 +5,10 @@ import (
 
 	"dicer/internal/cache"
 	"dicer/internal/cluster"
-	"dicer/internal/policy"
 	"dicer/internal/resctrl"
 )
 
-// Grouping selects how MultiController maps HP apps to CLOS groups.
+// Grouping selects how NewMulti's controller maps HP apps to CLOS groups.
 const (
 	GroupingClustered = "clustered"     // LFOC-style sensitivity clustering
 	GroupingPerApp    = "per-app"       // one CLOS per HP app (naive baseline)
@@ -20,8 +19,8 @@ const (
 // MultiConfig configures the multi-HP controller.
 type MultiConfig struct {
 	// Group carries the per-group DICER tunables (thresholds, stability
-	// band, sample step). MinHPWays/MinBEWays inside it are ignored;
-	// MinGroupWays/MinBEWays below replace them.
+	// band, sample step). Its MinHPWays is every HP group's CAT floor and
+	// its MinBEWays the ways reserved for BE.
 	Group Config
 
 	// WayBytes is the LLC capacity of one way, needed to evaluate miss
@@ -37,9 +36,7 @@ type MultiConfig struct {
 	// GroupingPerApp, GroupingSpill, GroupingSingle.
 	Grouping string
 
-	MinGroupWays int     // CAT floor per HP group (default 1)
-	MinBEWays    int     // ways reserved for BE (default 1)
-	KneeEps      float64 // cluster demand-knee cutoff (0 = cluster default)
+	KneeEps float64 // cluster demand-knee cutoff (0 = cluster default)
 
 	// ReclusterEvery re-evaluates the grouping every N periods (0 =
 	// grouping fixed at Setup). Re-clustering needs a resctrl.CoreMover
@@ -51,20 +48,6 @@ type MultiConfig struct {
 	// (Com-CAS-style: regroup ahead of the phase change). When false,
 	// hints are ignored and re-clustering is reactive only.
 	UsePhaseHints bool
-}
-
-// withDefaults fills zero values.
-func (c MultiConfig) withDefaults() MultiConfig {
-	if c.Grouping == "" {
-		c.Grouping = GroupingClustered
-	}
-	if c.MinGroupWays == 0 {
-		c.MinGroupWays = 1
-	}
-	if c.MinBEWays == 0 {
-		c.MinBEWays = 1
-	}
-	return c
 }
 
 // Validate reports configuration errors.
@@ -83,168 +66,114 @@ func (c MultiConfig) Validate() error {
 	default:
 		return fmt.Errorf("dicer: unknown grouping %q", c.Grouping)
 	}
-	if c.MinGroupWays < 1 || c.MinBEWays < 1 {
-		return fmt.Errorf("dicer: minimum ways must be >= 1 (group %d, be %d)", c.MinGroupWays, c.MinBEWays)
-	}
 	if c.ReclusterEvery < 0 {
 		return fmt.Errorf("dicer: negative recluster interval %d", c.ReclusterEvery)
 	}
 	return nil
 }
 
-// GroupEvent is one multi-HP controller decision: the legacy Event plus
-// the CLOS group it concerns. HPWays/HPIPC carry the group's allocation
-// and mean member IPC.
-type GroupEvent struct {
-	Group int
-	Event
-}
-
 // EventRecluster is emitted once per group when a re-cluster installs a
 // new grouping (the group's state machine restarts).
 const EventRecluster EventKind = "recluster"
 
-// MultiController runs one DICER state machine per CLOS group of HP
-// applications, under an LFOC-style clustering plan. It implements
-// policy.Policy: group i is CLOS i, the BE partition is pinned to CLOS
-// CLOSBudget-1, and masks are stacked from the top of the LLC —
-// contiguous, disjoint, and at one group exactly the legacy
-// HPMask/BEMask split.
-type MultiController struct {
-	cfg MultiConfig
-
-	// Trace, when non-nil, receives one GroupEvent per decision.
-	Trace func(GroupEvent)
-
-	specs []cluster.AppSpec // caller-owned view, refreshed via UpdateSpecs
-	plan  cluster.Plan
-	ccfg  cluster.Config
-
-	groups     []groupState
-	totalWays  int
-	beClos     int
-	period     int
-	sys        resctrl.System
-	masksDirty bool
-
-	// scratch for re-clustering (allocated once, reused).
-	scratchSpecs []cluster.AppSpec
-}
-
-// NewMulti creates a multi-HP controller over the given app specs. The
-// spec slice is copied; refresh per-phase curves with UpdateSpecs.
-func NewMulti(cfg MultiConfig, specs []cluster.AppSpec) (*MultiController, error) {
-	cfg = cfg.withDefaults()
+// NewMulti creates the multi-HP controller over the given app specs: one
+// DICER state machine per CLOS group of an LFOC-style clustering plan,
+// under a fixed CLOS budget. The BE partition is pinned to CLOS
+// CLOSBudget-1. The spec slice is copied; refresh per-phase curves with
+// UpdateSpecs.
+func NewMulti(cfg MultiConfig, specs []cluster.AppSpec) (*Controller, error) {
+	if cfg.Grouping == "" {
+		cfg.Grouping = GroupingClustered
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("dicer: multi controller needs at least one HP app")
 	}
-	mc := &MultiController{cfg: cfg}
-	mc.specs = make([]cluster.AppSpec, len(specs))
-	copy(mc.specs, specs)
-	mc.scratchSpecs = make([]cluster.AppSpec, len(specs))
-	return mc, nil
+	c := &Controller{cfg: cfg}
+	c.specs = make([]cluster.AppSpec, len(specs))
+	copy(c.specs, specs)
+	c.scratchSpecs = make([]cluster.AppSpec, len(specs))
+	return c, nil
 }
 
 // MustNewMulti is NewMulti with a panic on bad configuration.
-func MustNewMulti(cfg MultiConfig, specs []cluster.AppSpec) *MultiController {
-	mc, err := NewMulti(cfg, specs)
+func MustNewMulti(cfg MultiConfig, specs []cluster.AppSpec) *Controller {
+	c, err := NewMulti(cfg, specs)
 	if err != nil {
 		panic(err)
 	}
-	return mc
+	return c
 }
 
-// Name implements policy.Policy.
-func (mc *MultiController) Name() string { return "DICER-" + mc.cfg.Grouping }
-
-// Config returns the controller configuration.
-func (mc *MultiController) Config() MultiConfig { return mc.cfg }
-
-// Period returns the number of monitoring periods observed since Setup.
-func (mc *MultiController) Period() int { return mc.period }
-
 // Plan returns the grouping currently enforced.
-func (mc *MultiController) Plan() cluster.Plan { return mc.plan }
-
-// NumGroups returns the number of HP CLOS groups currently enforced.
-func (mc *MultiController) NumGroups() int { return len(mc.groups) }
-
-// BEClos returns the CLOS id of the best-effort partition.
-func (mc *MultiController) BEClos() int { return mc.beClos }
-
-// GroupWays returns group gi's currently enforced allocation.
-func (mc *MultiController) GroupWays(gi int) int { return mc.groups[gi].cur }
-
-// GroupState returns group gi's state name, for reporting.
-func (mc *MultiController) GroupState(gi int) string { return mc.groups[gi].st.String() }
+func (c *Controller) Plan() cluster.Plan { return c.plan }
 
 // GroupOf returns the CLOS group of HP app i under the current plan.
-func (mc *MultiController) GroupOf(app int) int { return mc.plan.GroupOf(app) }
+func (c *Controller) GroupOf(app int) int { return c.plan.GroupOf(app) }
 
 // UpdateSpecs refreshes the per-app planning view (current-phase curves
 // and optional upcoming-phase hints). Call it before Observe on periods
 // where phases may have moved; it copies in place and does not replan —
 // the re-cluster schedule decides when plans change. The slice length
 // must match the construction-time app count.
-func (mc *MultiController) UpdateSpecs(specs []cluster.AppSpec) error {
-	if len(specs) != len(mc.specs) {
-		return fmt.Errorf("dicer: spec count changed %d -> %d", len(mc.specs), len(specs))
+func (c *Controller) UpdateSpecs(specs []cluster.AppSpec) error {
+	if len(specs) != len(c.specs) {
+		return fmt.Errorf("dicer: spec count changed %d -> %d", len(c.specs), len(specs))
 	}
-	copy(mc.specs, specs)
+	copy(c.specs, specs)
 	return nil
 }
 
-// Setup implements policy.Policy: plan the grouping, move every HP core
-// into its group's CLOS, and install the stacked masks with BE at its
-// floor (CT's starting point in every group).
-func (mc *MultiController) Setup(sys resctrl.System) error {
+// setupPlan is Setup for a grouped controller: plan the grouping, move
+// every HP core into its group's CLOS, and install the stacked masks
+// with BE at its floor (CT's starting point in every group).
+func (c *Controller) setupPlan(sys resctrl.System) error {
 	total := sys.NumWays()
-	if sys.NumClos() < mc.cfg.CLOSBudget {
-		return fmt.Errorf("dicer: system has %d CLOS, config budgets %d", sys.NumClos(), mc.cfg.CLOSBudget)
+	if sys.NumClos() < c.cfg.CLOSBudget {
+		return fmt.Errorf("dicer: system has %d CLOS, config budgets %d", sys.NumClos(), c.cfg.CLOSBudget)
 	}
-	mc.ccfg = cluster.Config{
+	c.ccfg = cluster.Config{
 		TotalWays:    total,
-		WayBytes:     mc.cfg.WayBytes,
-		CLOSBudget:   mc.cfg.CLOSBudget,
-		MinGroupWays: mc.cfg.MinGroupWays,
-		MinBEWays:    mc.cfg.MinBEWays,
-		KneeEps:      mc.cfg.KneeEps,
+		WayBytes:     c.cfg.WayBytes,
+		CLOSBudget:   c.cfg.CLOSBudget,
+		MinGroupWays: c.cfg.Group.MinHPWays,
+		MinBEWays:    c.cfg.Group.MinBEWays,
+		KneeEps:      c.cfg.KneeEps,
 	}
-	plan, err := mc.planNow(false)
+	plan, err := c.planNow(false)
 	if err != nil {
 		return err
 	}
-	mc.totalWays = total
-	mc.beClos = mc.cfg.CLOSBudget - 1
-	mc.period = 0
-	mc.sys = sys
-	return mc.installPlan(plan)
+	c.totalWays = total
+	c.beClos = c.cfg.CLOSBudget - 1
+	c.period = 0
+	c.sys = sys
+	return c.installPlan(plan)
 }
 
 // planNow computes the plan for the current specs. hints controls
 // whether AppSpec.Hint curves participate (they never do when the
 // config disables phase hints).
-func (mc *MultiController) planNow(hints bool) (cluster.Plan, error) {
-	specs := mc.specs
-	if !hints || !mc.cfg.UsePhaseHints {
-		specs = mc.scratchSpecs
-		copy(specs, mc.specs)
+func (c *Controller) planNow(hints bool) (cluster.Plan, error) {
+	specs := c.specs
+	if !hints || !c.cfg.UsePhaseHints {
+		specs = c.scratchSpecs
+		copy(specs, c.specs)
 		for i := range specs {
 			specs[i].Hint = nil
 		}
 	}
-	switch mc.cfg.Grouping {
+	switch c.cfg.Grouping {
 	case GroupingPerApp:
-		return cluster.PerApp(mc.ccfg, specs)
+		return cluster.PerApp(c.ccfg, specs)
 	case GroupingSpill:
-		return cluster.PerAppSpill(mc.ccfg, specs)
+		return cluster.PerAppSpill(c.ccfg, specs)
 	case GroupingSingle:
-		return cluster.Single(mc.ccfg, specs)
+		return cluster.Single(c.ccfg, specs)
 	default:
-		return cluster.Assign(mc.ccfg, specs)
+		return cluster.Assign(c.ccfg, specs)
 	}
 }
 
@@ -252,15 +181,15 @@ func (mc *MultiController) planNow(hints bool) (cluster.Plan, error) {
 // state machine at its budget, and installs the stacked masks. Plans
 // with more than the available HP CLOS ids are rejected by planning, so
 // group i maps directly to CLOS i.
-func (mc *MultiController) installPlan(plan cluster.Plan) error {
+func (c *Controller) installPlan(plan cluster.Plan) error {
 	k := len(plan.Groups)
-	if k > mc.beClos {
-		return fmt.Errorf("dicer: plan has %d groups, budget allows %d", k, mc.beClos)
+	if k > c.beClos {
+		return fmt.Errorf("dicer: plan has %d groups, budget allows %d", k, c.beClos)
 	}
-	if mover, ok := mc.sys.(resctrl.CoreMover); ok {
+	if mover, ok := c.sys.(resctrl.CoreMover); ok {
 		for gi, g := range plan.Groups {
 			for _, appIdx := range g.Apps {
-				if err := mover.MoveCore(mc.specs[appIdx].Core, gi); err != nil {
+				if err := mover.MoveCore(c.specs[appIdx].Core, gi); err != nil {
 					return err
 				}
 			}
@@ -271,91 +200,34 @@ func (mc *MultiController) installPlan(plan cluster.Plan) error {
 		// be honoured.
 		return fmt.Errorf("dicer: system cannot move cores between CLOS groups")
 	}
-	mc.plan = plan
-	if cap(mc.groups) < k {
-		mc.groups = make([]groupState, k)
+	c.plan = plan
+	if cap(c.groups) < k {
+		c.groups = make([]groupState, k)
 	}
-	mc.groups = mc.groups[:k]
-	for gi := range mc.groups {
-		mc.groups[gi].init(&mc.cfg.Group, gi, mc.cfg.MinGroupWays, plan.Groups[gi].Ways)
+	c.groups = c.groups[:k]
+	for gi := range c.groups {
+		c.groups[gi].init(&c.cfg.Group, gi, c.cfg.Group.MinHPWays, plan.Groups[gi].Ways)
 	}
 	// Idle CLOS ids between the last group and the BE partition get a
 	// harmless low-way mask (they hold no cores).
-	for clos := k; clos < mc.beClos; clos++ {
-		if err := mc.sys.SetCBM(clos, cache.ContiguousMask(0, 1)); err != nil {
+	for clos := k; clos < c.beClos; clos++ {
+		if err := c.sys.SetCBM(clos, cache.ContiguousMask(0, 1)); err != nil {
 			return err
 		}
 	}
-	return mc.installMasks()
-}
-
-// installMasks lays the groups' current allocations out from the top of
-// the LLC and gives the BE partition the low-order remainder. Group
-// budgets sum to at most TotalWays-MinBEWays, so BE keeps its floor.
-func (mc *MultiController) installMasks() error {
-	top := mc.totalWays
-	for gi := range mc.groups {
-		w := mc.groups[gi].cur
-		if err := mc.sys.SetCBM(gi, cache.ContiguousMask(top-w, w)); err != nil {
-			return err
-		}
-		top -= w
-	}
-	return mc.sys.SetCBM(mc.beClos, cache.ContiguousMask(0, top))
-}
-
-// Observe implements policy.Policy: one invocation per monitoring
-// period. Every group runs its own Listing 1–3 step against its CLOS's
-// mean IPC and bandwidth; mask changes from all groups are installed in
-// one stacked relayout; the re-cluster schedule then gets a chance to
-// regroup (reactively, or ahead of hinted phase changes).
-func (mc *MultiController) Observe(sys resctrl.System, p resctrl.Period) error {
-	mc.period++
-	mc.sys = sys
-	saturated := p.TotalGbps > mc.cfg.Group.BWThresholdGbps && !mc.cfg.Group.DisableSaturationHandling
-
-	mc.masksDirty = false
-	var firstErr error
-	for gi := range mc.groups {
-		g := &mc.groups[gi]
-		ipc := p.ClosMeanIPC(gi)
-		bw := p.GroupBW(gi)
-		if err := g.observe(mc, ipc, bw, p.TotalGbps, saturated); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if mc.masksDirty {
-		if err := mc.installMasks(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if mc.cfg.ReclusterEvery > 0 && mc.period%mc.cfg.ReclusterEvery == 0 {
-		return mc.maybeRecluster(p)
-	}
-	return nil
+	return c.installMasks()
 }
 
 // maybeRecluster replans against the freshest specs and installs the new
 // grouping when membership changed. Group state restarts on change —
 // the partition landscape under a new grouping invalidates old optima.
-func (mc *MultiController) maybeRecluster(p resctrl.Period) error {
-	plan, err := mc.planNow(true)
-	if err != nil {
+func (c *Controller) maybeRecluster(p resctrl.Period) error {
+	changed, err := c.Replan()
+	if err != nil || !changed || c.Trace == nil {
 		return err
 	}
-	if samePlan(mc.plan, plan) {
-		return nil
-	}
-	if err := mc.installPlan(plan); err != nil {
-		return err
-	}
-	if mc.Trace != nil {
-		for gi := range mc.groups {
-			mc.emitGroup(&mc.groups[gi], EventRecluster, p.ClosMeanIPC(gi), p.TotalGbps)
-		}
+	for gi := range c.groups {
+		c.emit(&c.groups[gi], EventRecluster, p.ClosMeanIPC(gi), p.TotalGbps)
 	}
 	return nil
 }
@@ -366,16 +238,20 @@ func (mc *MultiController) maybeRecluster(p resctrl.Period) error {
 // hook: unlike the periodic re-cluster schedule it runs on demand,
 // outside Observe, so an external controller can force a repack of the
 // node's cache groups before resorting to added capacity. Group state
-// restarts on change, exactly as a scheduled re-cluster would.
-func (mc *MultiController) Replan() (bool, error) {
-	plan, err := mc.planNow(true)
+// restarts on change, exactly as a scheduled re-cluster would. The
+// single-HP controller has no plan and never changes.
+func (c *Controller) Replan() (bool, error) {
+	if !c.Grouped() {
+		return false, nil
+	}
+	plan, err := c.planNow(true)
 	if err != nil {
 		return false, err
 	}
-	if samePlan(mc.plan, plan) {
+	if samePlan(c.plan, plan) {
 		return false, nil
 	}
-	if err := mc.installPlan(plan); err != nil {
+	if err := c.installPlan(plan); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -400,47 +276,3 @@ func samePlan(a, b cluster.Plan) bool {
 	}
 	return true
 }
-
-// emitGroup implements groupHost.
-func (mc *MultiController) emitGroup(g *groupState, kind EventKind, ipc, totalBW float64) {
-	if mc.Trace == nil {
-		return
-	}
-	mc.Trace(GroupEvent{
-		Group: g.idx,
-		Event: Event{
-			Period:  mc.period,
-			State:   g.st.String(),
-			Kind:    kind,
-			Cause:   kind.Cause(),
-			HPWays:  g.cur,
-			HPIPC:   ipc,
-			TotalBW: totalBW,
-		},
-	})
-}
-
-// applyGroup implements groupHost: group mask changes are batched into
-// one stacked relayout per Observe.
-func (mc *MultiController) applyGroup(g *groupState) error {
-	mc.masksDirty = true
-	return nil
-}
-
-// ChainTrace subscribes fn to the decision stream without displacing an
-// existing subscriber: both run, existing first.
-func (mc *MultiController) ChainTrace(fn func(GroupEvent)) {
-	if fn == nil {
-		return
-	}
-	if prev := mc.Trace; prev != nil {
-		mc.Trace = func(e GroupEvent) {
-			prev(e)
-			fn(e)
-		}
-		return
-	}
-	mc.Trace = fn
-}
-
-var _ policy.Policy = (*MultiController)(nil)

@@ -88,8 +88,8 @@ func m1Script() []resctrl.Period {
 	return script
 }
 
-// TestMultiM1Equivalence pins the tentpole refactor: a MultiController
-// with one group reproduces the legacy single-HP controller decision for
+// TestMultiM1Equivalence pins the fold: a grouped Controller with one
+// group reproduces the single-HP controller decision for
 // decision — same event kinds, same way counts, same periods, same
 // installed masks — across every regime of the state machine.
 func TestMultiM1Equivalence(t *testing.T) {
@@ -105,8 +105,8 @@ func TestMultiM1Equivalence(t *testing.T) {
 		Grouping:   GroupingSingle,
 	}, singleSpec())
 	multiSys := newMultiFake(20, 2)
-	var multiEvents []GroupEvent
-	multi.Trace = func(e GroupEvent) { multiEvents = append(multiEvents, e) }
+	var multiEvents []Event
+	multi.Trace = func(e Event) { multiEvents = append(multiEvents, e) }
 
 	if err := legacy.Setup(legacySys); err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestMultiM1Equivalence(t *testing.T) {
 		t.Fatalf("decision count diverged: legacy %d, multi %d", len(legacyEvents), len(multiEvents))
 	}
 	for i := range legacyEvents {
-		le, me := legacyEvents[i], multiEvents[i].Event
+		le, me := legacyEvents[i], multiEvents[i]
 		if multiEvents[i].Group != 0 {
 			t.Fatalf("event %d: group %d, want 0", i, multiEvents[i].Group)
 		}
@@ -158,11 +158,12 @@ func TestMultiStackedMasks(t *testing.T) {
 		{Name: "c", Core: 2, SLO: 0.9, Curve: testCurve(1)},
 		{Name: "d", Core: 3, SLO: 0.9, Curve: mrc.MustCurve(0.6)},
 	}
+	cfg := DefaultConfig()
+	cfg.MinBEWays = 2
 	mc := MustNewMulti(MultiConfig{
-		Group:      DefaultConfig(),
+		Group:      cfg,
 		WayBytes:   1.25 * (1 << 20),
 		CLOSBudget: 4,
-		MinBEWays:  2,
 	}, specs)
 	sys := newMultiFake(20, 4)
 	if err := mc.Setup(sys); err != nil {
@@ -255,7 +256,7 @@ func (q *quietMultiSystem) MoveCore(core, clos int) error {
 	return nil
 }
 
-func quietMulti(t testing.TB) (*MultiController, *quietMultiSystem) {
+func quietMulti(t testing.TB) (*Controller, *quietMultiSystem) {
 	specs := []cluster.AppSpec{
 		{Name: "a", Core: 0, SLO: 0.9, Curve: testCurve(16)},
 		{Name: "b", Core: 1, SLO: 0.9, Curve: testCurve(14)},

@@ -2,20 +2,10 @@ package experiments
 
 import "dicer/internal/par"
 
-// Execute runs fn(i) for every i in [0, n) across workers goroutines.
-// The implementation — a sharded work-stealing pool with index-addressed
-// result slots, run-everything and lowest-index-error semantics — lives
-// in the leaf package internal/par so the fleet layer (which this
-// package imports) can batch node stepping through the same executor.
-// This re-export keeps the package's historical entry point: every
-// fan-out here (RunMany, the figure sweeps, FleetSuite, Soak) and the
-// per-seed replication in internal/hypo route through it, so
-// parallelism is bounded in exactly one place (Config.Workers).
-func Execute(n, workers int, fn func(i int) error) error {
-	return par.Execute(n, workers, fn)
-}
-
-// execute is Execute bound to the suite's worker setting.
+// execute runs fn(i) for every i in [0, n) through par.Execute, bound
+// to the suite's worker setting: every fan-out here (RunMany, the figure
+// sweeps, FleetSuite, Soak) routes through it, so parallelism is bounded
+// in exactly one place (Config.Workers).
 func (s *Suite) execute(n int, fn func(i int) error) error {
 	return par.Execute(n, s.workers(), fn)
 }

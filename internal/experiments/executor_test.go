@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"dicer/internal/par"
+)
 
 // The executor's unit tests (coverage, stealing, error ordering, edge
 // cases) live with the implementation in internal/par. What stays here
@@ -55,7 +59,7 @@ func TestResultSlotWriteZeroAlloc(t *testing.T) {
 		return err
 	}
 	if got := testing.AllocsPerRun(200, func() {
-		if err := Execute(len(jobs), 1, runJob); err != nil {
+		if err := par.Execute(len(jobs), 1, runJob); err != nil {
 			t.Error(err)
 		}
 	}); got != 0 {

@@ -164,7 +164,7 @@ func (s *Suite) RunMultiHP(spec MultiHPSpec) (MultiHPOutcome, error) {
 		return MultiHPOutcome{}, err
 	}
 	reclusters := 0
-	mc.ChainTrace(func(e core.GroupEvent) {
+	mc.ChainTrace(func(e core.Event) {
 		if e.Kind == core.EventRecluster && e.Group == 0 {
 			reclusters++
 		}
@@ -266,7 +266,7 @@ func (s *Suite) MultiHPGrid(m, beCount, budget int) (MultiHPGridResult, error) {
 			with(fmt.Sprintf("per-app/%d-clos", m+1), core.GroupingPerApp, m+1),
 		},
 	}
-	err := Execute(len(res.Cells), s.workers(), func(i int) error {
+	err := s.execute(len(res.Cells), func(i int) error {
 		cell := &res.Cells[i]
 		out, err := s.RunMultiHP(cell.Spec)
 		if err != nil {

@@ -301,15 +301,14 @@ type Cluster struct {
 	// stepping slots, the per-worker accumulators, the placement views
 	// with their node-index owners, and the survivor queue. Steady-state
 	// stepping allocates nothing.
-	rec     ClusterRecord
-	haveRec bool
-	outs    []stepOut
-	accs    []stepAcc
-	views   []NodeView
-	owner   []int
-	kept    []*Job
-	stepP   int
-	stepFn  func(w, i int) error
+	rec    ClusterRecord
+	outs   []stepOut
+	accs   []stepAcc
+	views  []NodeView
+	owner  []int
+	kept   []*Job
+	stepP  int
+	stepFn func(w, i int) error
 
 	stepMu    sync.Mutex
 	finished  bool
@@ -606,16 +605,6 @@ func (r *ClusterRecord) clone() ClusterRecord {
 	return out
 }
 
-// LastRecord returns a copy of the most recent period record, if any.
-func (c *Cluster) LastRecord() (ClusterRecord, bool) {
-	c.stepMu.Lock()
-	defer c.stepMu.Unlock()
-	if !c.haveRec {
-		return ClusterRecord{}, false
-	}
-	return c.rec.clone(), true
-}
-
 // QueueEntry is one waiting job, as exposed on /queue.
 type QueueEntry struct {
 	Job           int    `json:"job"`
@@ -623,13 +612,6 @@ type QueueEntry struct {
 	ArrivalPeriod int    `json:"arrival_period"`
 	Attempts      int    `json:"attempts,omitempty"`
 	NotBefore     int    `json:"not_before,omitempty"`
-}
-
-// QueueSnapshot returns the current admission queue in order.
-func (c *Cluster) QueueSnapshot() []QueueEntry {
-	c.stepMu.Lock()
-	defer c.stepMu.Unlock()
-	return c.queueSnapshotLocked()
 }
 
 func (c *Cluster) queueSnapshotLocked() []QueueEntry {
@@ -964,7 +946,6 @@ func (c *Cluster) stepLocked() (*ClusterRecord, error) {
 			return nil, err
 		}
 	}
-	c.haveRec = true
 	c.period++
 	return rec, nil
 }

@@ -50,16 +50,16 @@ type NodeConfig struct {
 	ID      int
 	Machine machine.Machine
 	// HPs are the node's high-priority applications, attached to cores
-	// 0..len(HPs)-1. One HP runs the legacy single-HP policy path
-	// byte-identically; more than one runs the multi-HP DICER controller
-	// with an LFOC-style clustered plan.
+	// 0..len(HPs)-1. One HP runs the node policy over the two-CLOS HP/BE
+	// split; more than one runs the grouped DICER controller with an
+	// LFOC-style clustered plan.
 	HPs []app.Profile
 	// HPAloneIPCs are the HPs' full-LLC alone-run IPCs (the SLO and
 	// normalisation references), index-matched to HPs.
 	HPAloneIPCs []float64
 	// CLOSBudget is the CLOS-id budget for multi-HP nodes (HP groups plus
 	// the BE partition). Ignored with a single HP, which always uses the
-	// legacy two-CLOS split.
+	// two-CLOS split.
 	CLOSBudget int
 	// Policy is the node-local policy: "UM", "CT" or "DICER". Multi-HP
 	// nodes require DICER (the grouped controller).
@@ -89,7 +89,7 @@ type Heartbeat struct {
 
 	// HPIPC / HPNorm describe the node's worst-normalised HP (the only
 	// one, on single-HP nodes). HPGroups is the number of HP CLOS groups
-	// the multi-HP controller runs (omitted on legacy single-HP nodes).
+	// the grouped controller runs (omitted on single-HP nodes).
 	HPIPC     float64 `json:"hp_ipc,omitempty"`
 	HPNorm    float64 `json:"hp_norm,omitempty"`
 	HPGroups  int     `json:"hp_groups,omitempty"`
@@ -114,10 +114,10 @@ type Node struct {
 	pol    policy.Policy
 	meter  *resctrl.Meter
 
-	// hpCount HPs occupy cores 0..hpCount-1; multi is the grouped
-	// controller when hpCount > 1 (nil on the legacy single-HP path).
+	// hpCount HPs occupy cores 0..hpCount-1; ctl is the node's DICER
+	// controller (nil for UM and CT), grouped when hpCount > 1.
 	hpCount int
-	multi   *core.MultiController
+	ctl     *core.Controller
 	beClos  int
 
 	// jobs indexes running jobs by core (nil = free); cores
@@ -136,9 +136,9 @@ type Node struct {
 	draining bool
 	retired  bool
 
-	// viewFP is view's per-group footprint scratch on multi-HP nodes,
-	// pooled so the placement pass allocates nothing per period; hpFP
-	// caches each HP's MaxFootprint for it.
+	// viewFP is view's per-group footprint scratch for a grouped
+	// controller, pooled so the placement pass allocates nothing per
+	// period; hpFP caches each HP's MaxFootprint for it.
 	viewFP []float64
 	hpFP   []float64
 
@@ -154,21 +154,11 @@ type Node struct {
 	flightReclus bool
 }
 
-// buildNodePolicy constructs the node-local policy instance.
-func buildNodePolicy(name string, dcfg core.Config) (policy.Policy, error) {
-	if p, ok := policy.ByName(name); ok {
-		return p, nil
-	}
-	if name == "DICER" || name == "dicer" {
-		return core.New(dcfg)
-	}
-	return nil, fmt.Errorf("fleet: unknown node policy %q (have UM, CT, DICER)", name)
-}
-
 // NewNode builds a node, attaches its HPs on cores 0..len(HPs)-1 and
-// runs the policy's Setup. A single HP takes the legacy two-CLOS path;
-// several HPs run the multi-HP DICER controller under the node's CLOS
-// budget.
+// runs the policy's Setup. A single HP runs the named policy (UM, CT or
+// DICER) over the two-CLOS HP/BE split; several HPs run the grouped
+// DICER controller, whose clustered plan moves their cores into CLOS
+// groups, with BE jobs sharing the partition at CLOS budget-1.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.SLO <= 0 || cfg.SLO > 1 {
 		return nil, fmt.Errorf("fleet: node %d SLO %g outside (0,1]", cfg.ID, cfg.SLO)
@@ -188,66 +178,28 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Machine.Cores <= k {
 		return nil, fmt.Errorf("fleet: node %d has %d cores for %d HPs + BEs", cfg.ID, cfg.Machine.Cores, k)
 	}
-	if k == 1 {
-		return newSingleHPNode(cfg)
+	isDICER := cfg.Policy == "DICER" || cfg.Policy == "dicer"
+	numClos := 2
+	if k > 1 {
+		if !isDICER {
+			return nil, fmt.Errorf("fleet: node %d runs %d HPs, which requires the DICER policy (got %q)", cfg.ID, k, cfg.Policy)
+		}
+		if numClos = cfg.CLOSBudget; numClos == 0 {
+			numClos = 16
+		}
+		if numClos < 2 {
+			return nil, fmt.Errorf("fleet: node %d CLOS budget %d < 2", cfg.ID, numClos)
+		}
 	}
-	return newMultiHPNode(cfg)
-}
-
-// newSingleHPNode is the legacy path: one HP on core 0, the two-CLOS
-// HP/BE split, any of the UM/CT/DICER policies.
-func newSingleHPNode(cfg NodeConfig) (*Node, error) {
-	r, err := sim.New(cfg.Machine, 2)
+	r, err := sim.New(cfg.Machine, numClos)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.Attach(0, policy.HPClos, cfg.HPs[0]); err != nil {
-		return nil, err
-	}
-	pol, err := buildNodePolicy(cfg.Policy, cfg.DICER)
-	if err != nil {
-		return nil, err
-	}
-	sys := resctrl.NewEmu(r, false)
-	if err := pol.Setup(sys); err != nil {
-		return nil, err
-	}
-	return &Node{
-		cfg:     cfg,
-		runner:  r,
-		sys:     sys,
-		pol:     pol,
-		meter:   resctrl.NewMeter(sys),
-		hpCount: 1,
-		beClos:  policy.BEClos,
-		jobs:    make([]*Job, cfg.Machine.Cores),
-		jobFP:   make([]float64, cfg.Machine.Cores),
-	}, nil
-}
-
-// newMultiHPNode hosts several HPs under the grouped DICER controller:
-// HPs attach to CLOS 0, the clustered plan moves their cores into CLOS
-// groups, and BE jobs share the partition at CLOS budget-1.
-func newMultiHPNode(cfg NodeConfig) (*Node, error) {
-	if cfg.Policy != "DICER" && cfg.Policy != "dicer" {
-		return nil, fmt.Errorf("fleet: node %d runs %d HPs, which requires the DICER policy (got %q)", cfg.ID, len(cfg.HPs), cfg.Policy)
-	}
-	budget := cfg.CLOSBudget
-	if budget == 0 {
-		budget = 16
-	}
-	if budget < 2 {
-		return nil, fmt.Errorf("fleet: node %d CLOS budget %d < 2", cfg.ID, budget)
-	}
-	r, err := sim.New(cfg.Machine, budget)
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]cluster.AppSpec, len(cfg.HPs))
-	hpFP := make([]float64, len(cfg.HPs))
+	specs := make([]cluster.AppSpec, k)
+	hpFP := make([]float64, k)
 	for i, hp := range cfg.HPs {
 		hpFP[i] = hp.MaxFootprint()
-		if err := r.Attach(i, 0, hp); err != nil {
+		if err := r.Attach(i, policy.HPClos, hp); err != nil {
 			return nil, err
 		}
 		ph := r.Proc(i).PhaseRef()
@@ -256,32 +208,46 @@ func newMultiHPNode(cfg NodeConfig) (*Node, error) {
 			Curve: ph.Curve, APKI: ph.APKI,
 		}
 	}
-	mc, err := core.NewMulti(core.MultiConfig{
-		Group:      cfg.DICER,
-		WayBytes:   cfg.Machine.WaysBytes(1),
-		CLOSBudget: budget,
-	}, specs)
+	var pol policy.Policy
+	switch p, builtin := policy.ByName(cfg.Policy); {
+	case k > 1:
+		pol, err = core.NewMulti(core.MultiConfig{
+			Group:      cfg.DICER,
+			WayBytes:   cfg.Machine.WaysBytes(1),
+			CLOSBudget: numClos,
+		}, specs)
+	case builtin:
+		pol = p
+	case isDICER:
+		pol, err = core.New(cfg.DICER)
+	default:
+		err = fmt.Errorf("fleet: unknown node policy %q (have UM, CT, DICER)", cfg.Policy)
+	}
 	if err != nil {
 		return nil, err
 	}
 	sys := resctrl.NewEmu(r, false)
-	if err := mc.Setup(sys); err != nil {
+	if err := pol.Setup(sys); err != nil {
 		return nil, err
 	}
-	return &Node{
+	n := &Node{
 		cfg:     cfg,
 		runner:  r,
 		sys:     sys,
-		pol:     mc,
+		pol:     pol,
 		meter:   resctrl.NewMeter(sys),
-		hpCount: len(cfg.HPs),
-		multi:   mc,
-		beClos:  mc.BEClos(),
+		hpCount: k,
+		ctl:     core.ControllerOf(pol),
+		beClos:  policy.BEClos,
 		jobs:    make([]*Job, cfg.Machine.Cores),
 		jobFP:   make([]float64, cfg.Machine.Cores),
-		viewFP:  make([]float64, len(cfg.HPs)),
+		viewFP:  make([]float64, k),
 		hpFP:    hpFP,
-	}, nil
+	}
+	if n.ctl != nil {
+		n.beClos = n.ctl.BEClos()
+	}
+	return n, nil
 }
 
 // ID returns the node index.
@@ -378,7 +344,7 @@ func (n *Node) StepPeriod(period int) (Heartbeat, int, error) {
 
 	hb := Heartbeat{Node: n.cfg.ID, BECount: n.beCount}
 	// The headline HP fields report the worst-normalised HP (on a
-	// single-HP node, the only one — exactly the legacy readings).
+	// single-HP node, the only one).
 	worst := 0
 	for i := 0; i < n.hpCount; i++ {
 		ipc := p.CoreIPC(i)
@@ -392,10 +358,10 @@ func (n *Node) StepPeriod(period int) (Heartbeat, int, error) {
 		}
 	}
 	hb.HPIPC = p.CoreIPC(worst)
-	if n.multi != nil {
-		hb.HPGroups = n.multi.NumGroups()
-		for gi := 0; gi < n.multi.NumGroups(); gi++ {
-			hb.HPWays += n.multi.GroupWays(gi)
+	if n.grouped() {
+		hb.HPGroups = n.ctl.NumGroups()
+		for gi := 0; gi < n.ctl.NumGroups(); gi++ {
+			hb.HPWays += n.ctl.GroupWays(gi)
 			hb.HPBWGbps += p.GroupBW(gi)
 		}
 	} else {
@@ -447,14 +413,17 @@ func (n *Node) evict(core int) *Job {
 // beWays returns the BE partition's current width in ways.
 func (n *Node) beWays() int { return bits.OnesCount64(n.sys.CBM(n.beClos)) }
 
+// grouped reports whether the node runs the grouped DICER controller.
+func (n *Node) grouped() bool { return n.ctl != nil && n.ctl.Grouped() }
+
 // Repack re-clusters a multi-HP node's cache plan on demand (the
 // autoscaler's repartition-first action), reporting whether the plan
 // changed. Single-HP nodes have nothing to repack.
 func (n *Node) Repack() (bool, error) {
-	if n.multi == nil {
+	if n.ctl == nil {
 		return false, nil
 	}
-	return n.multi.Replan()
+	return n.ctl.Replan()
 }
 
 // armFlightTap chains the flight recorder's provenance tap onto the
@@ -463,24 +432,17 @@ func (n *Node) Repack() (bool, error) {
 // arm time; the per-event cost is two string-header stores). Policies
 // without a controller (UM, CT) record no provenance.
 func (n *Node) armFlightTap() {
-	if n.multi != nil {
-		n.multi.ChainTrace(func(e core.GroupEvent) {
-			n.flightState = e.State
-			n.flightCause = e.Cause
-			n.flightCount++
-			if e.Kind == core.EventRecluster {
-				n.flightReclus = true
-			}
-		})
+	if n.ctl == nil {
 		return
 	}
-	if ctl := core.ControllerOf(n.pol); ctl != nil {
-		ctl.ChainTrace(func(e core.Event) {
-			n.flightState = e.State
-			n.flightCause = e.Cause
-			n.flightCount++
-		})
-	}
+	n.ctl.ChainTrace(func(e core.Event) {
+		n.flightState = e.State
+		n.flightCause = e.Cause
+		n.flightCount++
+		if e.Kind == core.EventRecluster {
+			n.flightReclus = true
+		}
+	})
 }
 
 // takeFlight drains the provenance tap into a flight entry and resets
@@ -522,19 +484,19 @@ func (n *Node) view(lastTotalGbps float64) NodeView {
 	// Multi-HP nodes expose their worst HP group's LLC overcommit: the
 	// clustered plan may pool incompatible HPs, and a node whose HP
 	// groups are already thrashing is a poor host for more cache
-	// pressure. Single-HP nodes report zero — the legacy controller
-	// regulates its one HP directly, and the legacy score must not move.
-	if n.multi != nil {
-		k := n.multi.NumGroups()
+	// pressure. Single-HP nodes report zero — the single-HP controller
+	// regulates its one HP directly, and their score must not move.
+	if n.grouped() {
+		k := n.ctl.NumGroups()
 		fp := n.viewFP[:k]
 		for i := range fp {
 			fp[i] = 0
 		}
 		for i, f := range n.hpFP {
-			fp[n.multi.GroupOf(i)] += f
+			fp[n.ctl.GroupOf(i)] += f
 		}
 		for gi := 0; gi < k; gi++ {
-			bytes := m.WaysBytes(n.multi.GroupWays(gi))
+			bytes := m.WaysBytes(n.ctl.GroupWays(gi))
 			if bytes <= 0 {
 				continue
 			}

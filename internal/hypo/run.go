@@ -8,6 +8,7 @@ import (
 	"dicer/internal/core"
 	"dicer/internal/experiments"
 	"dicer/internal/fleet"
+	"dicer/internal/par"
 )
 
 // Config is one named experimental configuration of a hypothesis:
@@ -304,7 +305,7 @@ func (r *Runner) runFleet(spec FleetSpec, seeds []int64, metrics []Metric) ([][]
 	}
 
 	out := make([][]float64, len(seeds))
-	if err := experiments.Execute(len(seeds), r.workers(), func(i int) error {
+	if err := par.Execute(len(seeds), r.workers(), func(i int) error {
 		arr := spec.Arrivals
 		arr.Seed = seeds[i]
 		sched, err := chaos.NodeScheduleByName(spec.NodeChaos, seeds[i], nodes, horizon)
@@ -371,7 +372,7 @@ func extractFleet(res fleet.Result, metrics []Metric) ([]float64, error) {
 // while the plan policy and budgets stay fixed.
 func (r *Runner) runMultiHP(spec experiments.MultiHPSpec, seeds []int64, metrics []Metric) ([][]float64, error) {
 	out := make([][]float64, len(seeds))
-	if err := experiments.Execute(len(seeds), r.workers(), func(i int) error {
+	if err := par.Execute(len(seeds), r.workers(), func(i int) error {
 		run := spec
 		run.Seed = seeds[i]
 		res, err := r.Suite.RunMultiHP(run)

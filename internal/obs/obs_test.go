@@ -346,6 +346,77 @@ func TestRecorderChaosDeltas(t *testing.T) {
 	}
 }
 
+// movingChaos is a chaos.System whose core moves go straight to the
+// inner system: the fault layer injects on schemata writes, and a
+// grouped controller still places its HP cores.
+type movingChaos struct {
+	*chaos.System
+	inner *groupedSystem
+}
+
+func (m movingChaos) MoveCore(core, clos int) error { return m.inner.MoveCore(core, clos) }
+
+// TestRecorderV2Chaos drives a grouped controller through schemata-write
+// rejection: every v2 record carries its period's fault delta, and a
+// period whose actuation an injected fault swallowed is tolerated and
+// attributed to chaos-masked.
+func TestRecorderV2Chaos(t *testing.T) {
+	inner := &groupedSystem{fakeSystem: fakeSystem{ways: 20}}
+	cs := chaos.New(inner, chaos.Config{Name: "reject", WriteFailProb: 0.3}, 7)
+	sys := movingChaos{System: cs, inner: inner}
+	ctl := groupedController()
+	ring := NewRing(64)
+	rec := NewRecorder(ring)
+	rec.AttachController(ctl)
+	rec.AttachChaos(cs)
+	if err := ctl.Setup(sys); err != nil && !errors.Is(err, chaos.ErrInjected) {
+		t.Fatal(err)
+	}
+
+	const periods = 40
+	errs := make([]error, periods)
+	for i := range errs {
+		// Alternating IPC keeps every group resetting and validating, so
+		// most periods write masks.
+		ipc := 0.6
+		if i%2 == 0 {
+			ipc = 1.4
+		}
+		p := groupedPeriod(inner.cores, ctl.BEClos(), ipc, 5)
+		errs[i] = ctl.Observe(sys, p)
+		if errs[i] != nil && !errors.Is(errs[i], chaos.ErrInjected) {
+			t.Fatalf("period %d: %v", i, errs[i])
+		}
+		rec.EndPeriod(i, p, sys, errs[i])
+	}
+
+	var sum chaos.Stats
+	masked := 0
+	for i, r := range ring.Snapshot() {
+		sum = sum.Add(r.Faults)
+		if len(r.Groups) != ctl.NumGroups() {
+			t.Fatalf("record %d has %d group records, want %d", i, len(r.Groups), ctl.NumGroups())
+		}
+		if errs[i] == nil {
+			if r.Tolerated || r.Cause == "chaos-masked" {
+				t.Fatalf("clean period %d annotated as masked: %+v", i, r)
+			}
+			continue
+		}
+		masked++
+		if !r.Tolerated || r.Cause != "chaos-masked" || r.Faults.WritesRejected == 0 {
+			t.Fatalf("period %d lost a write to chaos but recorded tolerated=%v cause=%q faults=%+v",
+				i, r.Tolerated, r.Cause, r.Faults)
+		}
+	}
+	if sum != cs.Stats() {
+		t.Fatalf("fault deltas sum to %+v, cumulative stats are %+v", sum, cs.Stats())
+	}
+	if masked == 0 || masked == periods {
+		t.Fatalf("%d of %d periods masked; both branches must run", masked, periods)
+	}
+}
+
 // traceRun records a fault-free DICER run through a JSONL sink and
 // returns the parsed trace.
 func traceRun(t *testing.T, periods int) (Header, []Record) {

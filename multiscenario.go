@@ -46,14 +46,12 @@ type MultiScenario struct {
 	// Grouping selects the plan: GroupingClustered (default),
 	// GroupingPerApp, or GroupingSingle.
 	Grouping string
-	// MinGroupWays / MinBEWays bound the moving partitions (default 1).
-	MinGroupWays int
-	MinBEWays    int
 	// KneeEps is the clustering demand-knee cutoff (0 = cluster default).
 	KneeEps float64
 
-	// Controller carries the per-group DICER tunables; zero value means
-	// DefaultConfig with this scenario's period.
+	// Controller carries the per-group DICER tunables, including the
+	// MinHPWays floor of every HP group and the MinBEWays kept for BE;
+	// zero value means DefaultConfig with this scenario's period.
 	Controller ControllerConfig
 
 	// ReclusterEvery re-evaluates the grouping every N periods (0 =
@@ -70,7 +68,7 @@ type MultiScenario struct {
 	// OnPeriod, when non-nil, receives every monitoring-period reading.
 	OnPeriod func(period int, p Period)
 	// Trace, when non-nil, receives one dicer-trace/v2 record per
-	// period, with per-group decisions; see obs.MultiRecorder.
+	// period, with per-group decisions; see obs.Recorder.
 	Trace obs.Sink
 }
 
@@ -162,12 +160,6 @@ func (s *MultiScenario) defaults() {
 	if s.Grouping == "" {
 		s.Grouping = core.GroupingClustered
 	}
-	if s.MinGroupWays == 0 {
-		s.MinGroupWays = 1
-	}
-	if s.MinBEWays == 0 {
-		s.MinBEWays = 1
-	}
 	if s.Controller.PeriodSec == 0 {
 		s.Controller = DefaultControllerConfig()
 		s.Controller.PeriodSec = s.PeriodSec
@@ -189,8 +181,6 @@ func (s *MultiScenario) multiConfig() core.MultiConfig {
 		WayBytes:       s.Machine.WaysBytes(1),
 		CLOSBudget:     s.CLOSBudget,
 		Grouping:       s.Grouping,
-		MinGroupWays:   s.MinGroupWays,
-		MinBEWays:      s.MinBEWays,
 		KneeEps:        s.KneeEps,
 		ReclusterEvery: s.ReclusterEvery,
 		UsePhaseHints:  s.UsePhaseHints,
@@ -256,15 +246,16 @@ func (s *MultiScenario) Run() (MultiResult, error) {
 		return MultiResult{}, err
 	}
 	reclusters := 0
-	mc.ChainTrace(func(e core.GroupEvent) {
+	mc.ChainTrace(func(e core.Event) {
 		if e.Kind == core.EventRecluster && e.Group == 0 {
 			reclusters++
 		}
 	})
 
-	var rec *obs.MultiRecorder
+	var rec *obs.Recorder
 	if s.Trace != nil {
-		rec = obs.NewMultiRecorder(s.Trace, mc)
+		rec = obs.NewRecorder(s.Trace)
+		rec.AttachController(mc)
 		if err := rec.Start(s.traceHeader(mc)); err != nil {
 			return MultiResult{}, err
 		}
@@ -305,11 +296,13 @@ func (s *MultiScenario) Run() (MultiResult, error) {
 		res.GroupWays = append(res.GroupWays, mc.GroupWays(gi))
 	}
 	alone := map[string]float64{}
+	aloneRun := Scenario{Machine: s.Machine, PeriodSec: s.PeriodSec,
+		StepsPerPeriod: s.StepsPerPeriod, HorizonPeriods: s.HorizonPeriods}
 	aloneOf := func(prof Profile) (float64, error) {
 		ipc, ok := alone[prof.Name]
 		if !ok {
 			var err error
-			if ipc, err = s.aloneIPC(prof); err != nil {
+			if ipc, err = aloneRun.aloneIPC(prof); err != nil {
 				return 0, err
 			}
 			alone[prof.Name] = ipc
@@ -341,8 +334,8 @@ func (s *MultiScenario) Run() (MultiResult, error) {
 }
 
 // traceHeader describes the run for v2 trace sinks.
-func (s *MultiScenario) traceHeader(mc *core.MultiController) obs.Header {
-	cfg := mc.Config().Group
+func (s *MultiScenario) traceHeader(mc *core.Controller) obs.Header {
+	cfg := mc.Config()
 	h := obs.Header{
 		Schema:         obs.SchemaV2,
 		Policy:         mc.Name(),
@@ -362,20 +355,4 @@ func (s *MultiScenario) traceHeader(mc *core.MultiController) obs.Header {
 		h.BEs = append(h.BEs, be.Name)
 	}
 	return h
-}
-
-// aloneIPC runs prof alone on the machine with the full LLC.
-func (s *MultiScenario) aloneIPC(prof Profile) (float64, error) {
-	r, err := sim.New(s.Machine, 1)
-	if err != nil {
-		return 0, err
-	}
-	if err := r.Attach(0, 0, prof); err != nil {
-		return 0, err
-	}
-	dt := s.PeriodSec / float64(s.StepsPerPeriod)
-	for i := 0; i < s.HorizonPeriods*s.StepsPerPeriod; i++ {
-		r.Step(dt)
-	}
-	return r.Proc(0).IPC(), nil
 }

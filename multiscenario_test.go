@@ -284,10 +284,14 @@ func TestMultiScenarioTraceV2(t *testing.T) {
 	if len(recs) != 10 {
 		t.Fatalf("trace holds %d records, want 10", len(recs))
 	}
+	decided := 0
 	for i, rec := range recs {
 		if len(rec.Groups) != res.NumGroups {
 			t.Fatalf("record %d has %d group records, want %d", i, len(rec.Groups), res.NumGroups)
 		}
+		// Groups decide in group order, so the period's last decision is
+		// the last deciding group's.
+		last := ""
 		for gi, g := range rec.Groups {
 			if g.Group != gi {
 				t.Fatalf("record %d group %d labelled %d", i, gi, g.Group)
@@ -295,7 +299,20 @@ func TestMultiScenarioTraceV2(t *testing.T) {
 			if g.Ways < 1 || g.Mask == 0 {
 				t.Fatalf("record %d group %d degenerate: %+v", i, gi, g)
 			}
+			if len(g.Decisions) > 0 {
+				last = g.Cause
+			}
 		}
+		if last == "" {
+			continue
+		}
+		decided++
+		if rec.Cause != last {
+			t.Fatalf("record %d cause %q, want its last decision's %q", i, rec.Cause, last)
+		}
+	}
+	if decided == 0 {
+		t.Fatal("no period carried a group decision")
 	}
 }
 
